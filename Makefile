@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-all vet fmt-check race test bench-engine bench-json bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-all vet fmt-check race tier-flake test bench-engine clean
 
 all: build
 
@@ -63,7 +63,8 @@ tier-lint:
 # schema errors, profiling scopes), the rt-level coalesced-campaign
 # determinism tests (byte-identical -j 1 vs -j 8), the binary-level
 # profiling/coalescing checks, and the sink-scaling benchmarks run as
-# tests (one iteration — scaling regressions fail loudly in bench-json).
+# tests (one iteration, so they stay compilable and runnable; the sink's
+# zero-allocation hot path is pinned by AllocsPerRun tests in the obs suite).
 tier-obs:
 	$(GO) test ./internal/obs/
 	$(GO) test -run 'TestCoalesced|TestObs' ./internal/rt/
@@ -93,6 +94,12 @@ tier-durable:
 	$(GO) run ./cmd/visachaos -race -kills 3 -seed 1
 	./scripts/smoke_recovery.sh
 
+# Tier flake: the whole suite three times at GOMAXPROCS 1 and 2, packages
+# in parallel, so timing-dependent tests meet a loaded machine. Not a CI
+# job: run it before trusting a fix to a test that waits on other goroutines.
+tier-flake:
+	$(GO) test -count 3 -cpu 1,2 ./...
+
 # Tier all: every gate in one invocation.
 tier-all: tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable
 
@@ -100,25 +107,6 @@ tier-all: tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-
 # (`experiments -all -n 20` equivalent; see bench_test.go).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkExperimentsAll' -benchtime 1x .
-
-# Regenerates BENCH_10.json: the committed benchmark record (name, ns/op,
-# B/op, allocs/op, custom metrics) covering the evaluation-level engine
-# benchmarks (one shot each — they run whole experiment tables), the
-# per-cycle pipeline Feed kernels whose allocs/op the hotalloc analyzer
-# guards, and the coalescing-sink hot path (Add must stay 0 allocs/op at
-# wide thresholds). After regenerating, bench-diff gates the record against
-# the previous one.
-bench-json:
-	( $(GO) test -run '^$$' -bench 'Table3|Figure|FunctionalExecutor|SimplePipeline|ComplexPipeline|WCETAnalysis' -benchtime 1x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'PipelineFeed' -benchmem ./internal/simple/ ./internal/ooo/ && \
-	  $(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchmem ./internal/obs/ ) \
-	  | $(GO) run ./cmd/benchjson -o BENCH_10.json
-
-# Gates the performance trajectory on the committed records: compares the
-# two most recent BENCH_N.json and fails on >20% ns/op growth or any
-# allocs/op increase in the pinned cycle-loop kernels.
-bench-diff:
-	$(GO) run ./cmd/benchdiff
 
 test: tier1
 

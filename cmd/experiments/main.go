@@ -120,10 +120,7 @@ func main() {
 	// failure (in plan order) exits nonzero.
 	run := func(plan *rt.Plan, name string) {
 		sink, done := metricsSink(*metricsDir, name)
-		eng := &rt.Engine{Workers: *j, Sink: sink}
-		if *coalesce {
-			eng.Coalesce = &obs.CoalesceOptions{}
-		}
+		eng := &rt.Engine{Workers: *j, Sink: sink, Coalesce: *coalesce}
 		rep, err := eng.Run(plan)
 		check(err)
 		check(done())

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -43,18 +44,31 @@ type daemon struct {
 }
 
 // prefixScanner tees the child's stderr, exposing the first "listening on"
-// line and retaining everything for failure dumps.
+// line and retaining everything for failure dumps. done closes when the
+// child's stderr reaches EOF; String is complete after that.
 type prefixScanner struct {
 	addr chan string
+	done chan struct{}
+	mu   sync.Mutex
 	buf  bytes.Buffer
 }
 
+// String returns the stderr lines read so far.
+func (p *prefixScanner) String() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.buf.String()
+}
+
 func (p *prefixScanner) run(r io.Reader) {
+	defer close(p.done)
 	sc := bufio.NewScanner(r)
 	sent := false
 	for sc.Scan() {
 		line := sc.Text()
+		p.mu.Lock()
 		p.buf.WriteString(line + "\n")
+		p.mu.Unlock()
 		if !sent {
 			if i := strings.Index(line, "listening on "); i >= 0 {
 				addr := strings.Fields(line[i+len("listening on "):])[0]
@@ -78,7 +92,7 @@ func startVisad(t *testing.T, bin string, extra ...string) *daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := &prefixScanner{addr: make(chan string, 1)}
+	ps := &prefixScanner{addr: make(chan string, 1), done: make(chan struct{})}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +105,7 @@ func startVisad(t *testing.T, bin string, extra ...string) *daemon {
 	select {
 	case addr, ok := <-ps.addr:
 		if !ok {
-			t.Fatalf("visad exited before listening:\n%s", ps.buf.String())
+			t.Fatalf("visad exited before listening:\n%s", ps.String())
 		}
 		d.base = "http://" + addr
 	case <-time.After(30 * time.Second):
@@ -246,9 +260,11 @@ func TestSIGTERMDrains(t *testing.T) {
 	sr := submitPlan(t, d.base, "drain", planJSON(2))
 	// Hold the stream open across the drain: it must still deliver the
 	// full event log, proving the job ran to completion.
+	attached := make(chan error, 1)
 	streamDone := make(chan []byte, 1)
 	go func() {
 		resp, err := http.Get(d.base + "/v1/jobs/" + sr.ID + "/stream")
+		attached <- err // the response headers have arrived
 		if err != nil {
 			streamDone <- nil
 			return
@@ -257,11 +273,23 @@ func TestSIGTERMDrains(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		streamDone <- b
 	}()
-	time.Sleep(100 * time.Millisecond) // let the stream attach and the job start
+	select {
+	case err := <-attached:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("stream did not attach")
+	}
+	waitRunning(t, d.base, sr.ID)
 
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Signal delivery is asynchronous: wait until the daemon reports that
+	// it is draining (or has already closed its listener) before the late
+	// submission, so the 503 below tests drain admission, not a race.
+	waitDraining(t, d.base)
 	// While draining, new submissions are refused with 503 (the listener
 	// may also already be gone — both prove no new work is admitted).
 	req, _ := http.NewRequest("POST", d.base+"/v1/jobs", strings.NewReader(planJSON(1)))
@@ -282,19 +310,77 @@ func TestSIGTERMDrains(t *testing.T) {
 		t.Fatal("stream did not complete during drain")
 	}
 
+	// Read stderr to EOF before Wait: Wait closes the pipe, and a line
+	// still unread then ("drained, exiting") would be lost.
+	select {
+	case <-d.stderr.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("visad did not exit after drain")
+	}
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- d.cmd.Wait() }()
 	select {
 	case err := <-waitErr:
 		if err != nil {
-			t.Errorf("visad exit: %v\nstderr:\n%s", err, d.stderr.buf.String())
+			t.Errorf("visad exit: %v\nstderr:\n%s", err, d.stderr.String())
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("visad did not exit after drain")
 	}
-	if !strings.Contains(d.stderr.buf.String(), "drained") {
-		t.Errorf("stderr missing drain confirmation:\n%s", d.stderr.buf.String())
+	if !strings.Contains(d.stderr.String(), "drained") {
+		t.Errorf("stderr missing drain confirmation:\n%s", d.stderr.String())
 	}
+}
+
+// waitRunning polls a job until it reports running. A job that reaches a
+// terminal state first fails the test: the caller needs it in flight.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr serve.JobResponse
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch jr.Status {
+		case serve.StatusRunning:
+			return
+		case serve.StatusDone, serve.StatusFailed:
+			t.Fatalf("job %s reached %s before it was observed running", id, jr.Status)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatal("job did not start running")
+}
+
+// waitDraining polls /v1/healthz until the daemon reports draining or stops
+// answering (the listener closes once the drain completes).
+func waitDraining(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/v1/healthz")
+		if err != nil {
+			return
+		}
+		var h serve.HealthResponse
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Draining {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatal("daemon did not report draining after SIGTERM")
 }
 
 // waitJob polls a job to a terminal state and returns the full response.
@@ -346,8 +432,8 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 
 	// Restart on the same journal at a different parallelism.
 	d2 := startVisad(t, bin, "-j", "4", "-journal", journal)
-	if !strings.Contains(d2.stderr.buf.String(), "journal "+journal) {
-		t.Errorf("restart stderr missing recovery summary:\n%s", d2.stderr.buf.String())
+	if !strings.Contains(d2.stderr.String(), "journal "+journal) {
+		t.Errorf("restart stderr missing recovery summary:\n%s", d2.stderr.String())
 	}
 	jr := waitJob(t, d2.base, sr.ID)
 	if jr.Status != serve.StatusDone {

@@ -8,7 +8,6 @@
 //	        [-cpuprofile cpu.out] [-memprofile mem.out] [-pprof addr]
 //	        (-bench name[,name...]|all | file.c)
 //	visasim -conform (-gen seed [-keep i,j] [-dump] | -bench name|all | file.c)
-//	visasim -plan spec.json [-j N] [-metrics out.jsonl]
 //
 // With -bench it runs embedded C-lab benchmarks — one name, a
 // comma-separated list, or "all"; otherwise it compiles and runs the given
@@ -30,11 +29,6 @@
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run;
 // -pprof serves net/http/pprof live for long simulations.
-//
-// -plan runs a serialized experiment plan spec (rt.PlanSpec JSON — the
-// wire format the visad daemon accepts) on the rt experiment engine and
-// prints its report; the same spec submitted to a daemon yields a
-// byte-identical report.
 //
 // -conform runs the cross-model conformance oracle (internal/conform)
 // instead of a simulation: the program is swept through the functional
@@ -99,8 +93,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	planPath := flag.String("plan", "",
-		"run a serialized experiment plan spec (JSON, the visad wire format) on the rt engine")
 	flag.Parse()
 
 	prof, err := obs.StartProfile(obs.ProfileOptions{
@@ -117,10 +109,6 @@ func main() {
 
 	if *conformFlag || *genFlag != "" {
 		runConform(*genFlag, *keepFlag, *bench, *dumpFlag)
-		return
-	}
-	if *planPath != "" {
-		runPlan(*planPath, *j, *metricsPath)
 		return
 	}
 
@@ -367,53 +355,6 @@ func runConform(genSeed, keep, bench string, dump bool) {
 	if failed {
 		stopProfile()
 		os.Exit(1)
-	}
-}
-
-// runPlan is the -plan entry point: decode a serialized rt.PlanSpec (the
-// same JSON wire format cmd/visad serves), run it on the rt engine with j
-// workers, and print the plan's report. -metrics streams the engine's
-// plan-order merged records.
-func runPlan(path string, j int, metricsPath string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	spec, err := rt.DecodePlanSpec(data)
-	if err != nil {
-		fatal(err)
-	}
-	if err := spec.Validate(); err != nil {
-		fatal(err)
-	}
-	plan, err := spec.Plan()
-	if err != nil {
-		fatal(err)
-	}
-	eng := &rt.Engine{Workers: j}
-	if metricsPath != "" {
-		mf, err := os.Create(metricsPath)
-		if err != nil {
-			fatal(err)
-		}
-		mw := obs.NewMetricsWriter(mf, obs.FormatForPath(metricsPath))
-		eng.Sink = &obs.Sink{Metrics: mw}
-		defer func() {
-			if err := mw.Close(); err != nil {
-				fatal(err)
-			}
-			if err := mf.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-	rep, err := eng.Run(plan)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(rep.Text)
-	if err := rep.Err(); err != nil {
-		fatal(err)
 	}
 }
 

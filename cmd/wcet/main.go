@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	wcet [-mhz 1000] [-sweep] [-categories] [-verify-bounds] (-bench name | file.c)
+//	wcet [-mhz 1000] [-sweep] [-categories] [-verify-bounds] [-bundle path] (bench | file.c)
+//
+// bench names an embedded C-lab benchmark (adpcm, cnt, fft, lms, mm, srt);
+// any other argument is read as a mini-C source file.
 package main
 
 import (
@@ -42,7 +45,7 @@ func main() {
 			}
 		}
 	} else {
-		fmt.Fprintln(os.Stderr, "usage: wcet [-mhz N] [-sweep] [-categories] (benchname | file.c)")
+		fmt.Fprintln(os.Stderr, "usage: wcet [-mhz N] [-sweep] [-categories] [-verify-bounds] [-bundle path] (bench | file.c)")
 		os.Exit(2)
 	}
 	if err != nil {

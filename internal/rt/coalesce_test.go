@@ -27,10 +27,7 @@ func runCoalesced(t *testing.T, workers int, coalesce bool) (string, string) {
 	t.Helper()
 	var metrics bytes.Buffer
 	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
-	eng := &Engine{Workers: workers, Sink: sink}
-	if coalesce {
-		eng.Coalesce = &obs.CoalesceOptions{}
-	}
+	eng := &Engine{Workers: workers, Sink: sink, Coalesce: coalesce}
 	rep, err := eng.Run(smallSafetyPlan())
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +150,7 @@ func TestCoalescedComparisonPlans(t *testing.T) {
 	run := func(workers int) (string, string) {
 		var metrics bytes.Buffer
 		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
-		eng := &Engine{Workers: workers, Sink: sink, Coalesce: &obs.CoalesceOptions{}}
+		eng := &Engine{Workers: workers, Sink: sink, Coalesce: true}
 		rep, err := eng.Run(Figure2Plan(clab.All()[:3], 15))
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"visa/internal/exec"
 	"visa/internal/obs"
@@ -27,10 +26,10 @@ import (
 //
 // The engine is crash-proof: a panicking job is converted to a PanicError
 // at its index rather than taking the process (and the other workers) down,
-// a transient failure (one wrapped with Transient) is retried up to
-// MaxRetries times with doubling Backoff, and a job exceeding its cycle
-// budget fails with ErrCycleBudget. Failed jobs degrade gracefully — the
-// Report still carries every other job's row and metrics.
+// and a job exceeding its cycle budget fails with ErrCycleBudget. Each job
+// runs once: the simulation is deterministic, so a re-run would fail the
+// same way. Failed jobs degrade gracefully — the Report still carries every
+// other job's row and metrics.
 type Engine struct {
 	// Workers is the pool size; <= 0 selects runtime.NumCPU().
 	Workers int
@@ -40,47 +39,27 @@ type Engine struct {
 	// shared mutable state that only an in-order run keeps deterministic.
 	Sink *obs.Sink
 
-	// MaxRetries bounds re-execution of jobs that fail with a Transient
-	// error. 0 disables retry; permanent errors are never retried.
-	MaxRetries int
-
-	// Backoff is the sleep before the first retry; it doubles on each
-	// subsequent attempt. Zero means retry immediately.
-	Backoff time.Duration
-
 	// CycleBudget, when > 0, is applied as Config.CycleBudget to every
 	// standard job whose config leaves it unset — a per-task watchdog on
 	// the simulation itself, so one runaway job cannot hang the plan.
 	CycleBudget int64
 
-	// Coalesce, when non-nil (and metrics are attached), gives every job a
+	// Coalesce, when set (and metrics are attached), gives every job a
 	// private obs.CoalescingSink over its record buffer: countable events
 	// accumulate in RAM as per-key deltas and only the net effect is
-	// flushed (at threshold/age triggers and at job end), so the durable
-	// stream carries Θ(distinct series) counter records instead of one per
-	// event. The per-job sinks flush into per-job buffers replayed in plan
-	// order, so the merged stream stays byte-identical for any Workers.
-	Coalesce *obs.CoalesceOptions
+	// flushed (at the default threshold/age triggers and at job end), so
+	// the durable stream carries Θ(distinct series) counter records instead
+	// of one per event. The per-job sinks flush into per-job buffers
+	// replayed in plan order, so the merged stream stays byte-identical for
+	// any Workers.
+	Coalesce bool
 
 	// OnJobDone, when non-nil, is called once per job as it completes —
 	// in completion order, from the worker goroutines, so the callback
 	// must be safe for concurrent use. recs is the job's buffered metrics
-	// stream (nil when metrics are off); retried jobs report once, after
-	// the final attempt. The service layer streams per-job results through
-	// this hook; consumers needing plan order key on i.
+	// stream (nil when metrics are off). The service layer streams per-job
+	// results through this hook; consumers needing plan order key on i.
 	OnJobDone func(i int, res JobResult, recs []obs.Record, err error)
-}
-
-// ErrTransient marks an error as retryable by the engine. Wrap with
-// Transient; test with errors.Is(err, ErrTransient).
-var ErrTransient = errors.New("transient failure")
-
-// Transient wraps err so the engine's retry loop will re-run the job.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrTransient, err)
 }
 
 // PanicError is a job panic captured by the engine's recovery barrier. Its
@@ -96,7 +75,7 @@ func (e *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", e.V
 // Run validates every job, executes the plan, merges results in plan
 // order, and renders the report text. Configuration errors are hard
 // failures (nil Report); execution failures — panics, budget overruns,
-// exhausted retries — degrade gracefully into Report.Errors.
+// job errors — degrade gracefully into Report.Errors.
 func (e *Engine) Run(p *Plan) (*Report, error) {
 	jobs := make([]Job, len(p.Jobs))
 	copy(jobs, p.Jobs)
@@ -144,7 +123,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], bufs[i], errs[i] = e.runWithRetry(jobs[i], workers == 1, metricsOn)
+				results[i], bufs[i], errs[i] = e.runOnce(jobs[i], workers == 1, metricsOn)
 				if e.OnJobDone != nil {
 					e.OnJobDone(i, results[i], bufs[i].Records(), errs[i])
 				}
@@ -179,43 +158,31 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	return rep, nil
 }
 
-// runWithRetry executes one job under the panic barrier, retrying
-// transient failures with doubling backoff. Each attempt writes into a
-// fresh record buffer so a retried job's metrics appear exactly once.
-func (e *Engine) runWithRetry(job Job, serial, metricsOn bool) (JobResult, *obs.MetricsWriter, error) {
-	backoff := e.Backoff
-	for attempt := 0; ; attempt++ {
-		sink := &obs.Sink{}
-		var buf *obs.MetricsWriter
-		var cs *obs.CoalescingSink
-		if metricsOn {
-			buf = obs.NewRecordBuffer()
-			sink.Metrics = buf
-			if e.Coalesce != nil {
-				// Each attempt gets a fresh coalescer over the fresh
-				// buffer, so retried jobs flush exactly once.
-				cs = obs.NewCoalescingSink(buf, *e.Coalesce)
-				sink.Counters = cs
-			}
-		}
-		if serial {
-			// Serial runs may share the engine's tracer and counter
-			// registry directly: jobs arrive in order.
-			sink.Trace = e.sink().T()
-			sink.Registry = e.sink().R()
-		}
-		res, err := safeRun(job, sink)
-		if cerr := cs.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err == nil || !errors.Is(err, ErrTransient) || attempt >= e.MaxRetries {
-			return res, buf, classify(err)
-		}
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
+// runOnce executes one job under the panic barrier, writing its metrics
+// into a fresh record buffer (and coalescer, when enabled).
+func (e *Engine) runOnce(job Job, serial, metricsOn bool) (JobResult, *obs.MetricsWriter, error) {
+	sink := &obs.Sink{}
+	var buf *obs.MetricsWriter
+	var cs *obs.CoalescingSink
+	if metricsOn {
+		buf = obs.NewRecordBuffer()
+		sink.Metrics = buf
+		if e.Coalesce {
+			cs = obs.NewCoalescingSink(buf, obs.CoalesceOptions{})
+			sink.Counters = cs
 		}
 	}
+	if serial {
+		// Serial runs may share the engine's tracer and counter
+		// registry directly: jobs arrive in order.
+		sink.Trace = e.sink().T()
+		sink.Registry = e.sink().R()
+	}
+	res, err := safeRun(job, sink)
+	if cerr := cs.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return res, buf, classify(err)
 }
 
 // classify roots job failures in the exported sentinels so the service

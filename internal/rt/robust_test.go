@@ -101,78 +101,6 @@ func TestEnginePanicRecovery(t *testing.T) {
 	}
 }
 
-// TestEngineTransientRetry: a job failing with a Transient error is re-run
-// up to MaxRetries times, its metrics kept from the successful attempt
-// only; a permanent error is never retried.
-func TestEngineTransientRetry(t *testing.T) {
-	attempts := 0
-	plan := &Plan{Name: "flaky", Jobs: []Job{{Run: func(sink *obs.Sink) (JobResult, error) {
-		attempts++
-		if mw := sink.M(); mw != nil {
-			mw.Write(obs.Record{obs.F("kind", "attempt-record"), obs.F("label", "flaky")})
-		}
-		if attempts < 3 {
-			return JobResult{}, Transient(errors.New("simulated blip"))
-		}
-		return JobResult{}, nil
-	}}}}
-	var buf bytes.Buffer
-	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf, obs.FormatJSONL)}
-	rep, err := (&Engine{Workers: 1, MaxRetries: 3, Sink: sink}).Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Metrics.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 {
-		t.Errorf("ran %d attempts, want 3", attempts)
-	}
-	if rep.Failed != 0 {
-		t.Errorf("Failed = %d after successful retry: %v", rep.Failed, rep.Err())
-	}
-	if n := strings.Count(buf.String(), "attempt-record"); n != 1 {
-		t.Errorf("%d attempt records in merged metrics, want 1 (fresh buffer per attempt)", n)
-	}
-
-	// Permanent failures must not burn retries.
-	permAttempts := 0
-	perm := &Plan{Name: "perm", Jobs: []Job{{Run: func(*obs.Sink) (JobResult, error) {
-		permAttempts++
-		return JobResult{}, errors.New("permanent")
-	}}}}
-	rep, err = (&Engine{Workers: 1, MaxRetries: 5}).Run(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if permAttempts != 1 {
-		t.Errorf("permanent error retried %d times", permAttempts)
-	}
-	if rep.Failed != 1 {
-		t.Error("permanent failure not reported")
-	}
-}
-
-// TestEngineRetryExhaustion: a job that stays transient fails with its
-// last error after MaxRetries+1 attempts, still matching ErrTransient.
-func TestEngineRetryExhaustion(t *testing.T) {
-	attempts := 0
-	plan := &Plan{Name: "exhaust", Jobs: []Job{{Run: func(*obs.Sink) (JobResult, error) {
-		attempts++
-		return JobResult{}, Transient(errors.New("still down"))
-	}}}}
-	rep, err := (&Engine{Workers: 1, MaxRetries: 2}).Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 {
-		t.Errorf("ran %d attempts, want 3 (1 + MaxRetries)", attempts)
-	}
-	if rep.Failed != 1 || !errors.Is(rep.Errors[0], ErrTransient) {
-		t.Errorf("exhausted retry not reported as transient: %v", rep.Errors[0])
-	}
-}
-
 // TestEngineCycleBudget: the engine-level default budget propagates into
 // the jobs' configs, and a budget far below the task's real cycle count
 // fails that job with ErrCycleBudget — without failing the plan.

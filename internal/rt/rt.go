@@ -271,7 +271,9 @@ func (ps *procSim) profile() (*profileResult, error) {
 	return res, nil
 }
 
-// Config parameterizes one experiment run.
+// Config parameterizes one experiment run. The zero config is the paper's
+// default run: loose deadline, last-N PET policy, 200 instances, no faults,
+// instrumentation off.
 type Config struct {
 	Tight bool
 
@@ -296,13 +298,6 @@ type Config struct {
 	// misprediction rate.
 	Policy        PETPolicy
 	HistogramMiss float64
-
-	// Histogram selects the histogram PET policy.
-	//
-	// Deprecated: set Policy to PETHistogram (or build the config with
-	// NewConfig(WithPETPolicy(PETHistogram))). The flag is honoured for one
-	// release and then removed.
-	Histogram bool
 
 	VaryInputSeeds bool // vary the input seed per instance
 

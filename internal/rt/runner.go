@@ -311,7 +311,7 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 	params := core.Params{DeadlineNs: deadline, OvhdNs: OvhdNs}
 
 	var policy core.PETPolicy
-	if cfg.policy() == PETHistogram {
+	if cfg.Policy == PETHistogram {
 		policy = core.NewHistogram(table.NumSubTasks(), cfg.HistogramMiss, 100)
 	} else {
 		policy = core.NewLastN(table.NumSubTasks(), LastNWindow)

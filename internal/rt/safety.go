@@ -168,12 +168,12 @@ func SafetyCampaignPlan(benches []*clab.Benchmark, c SafetyCampaign) *Plan {
 					Cycles: c.cycles(),
 					Seed:   fault.DeriveSeed(c.Seed, uint64(bi), uint64(k), uint64(rate)),
 				}
-				jobs = append(jobs, Job{Bench: b, Kind: JobSafety, Config: NewConfig(
-					WithTightDeadline(true),
-					WithInstances(c.instances()),
-					WithFaultSpec(spec),
-					WithLabel(fmt.Sprintf("safety/%s/%s", b.Name, spec)),
-				)})
+				jobs = append(jobs, Job{Bench: b, Kind: JobSafety, Config: Config{
+					Tight:     true,
+					Instances: c.instances(),
+					Fault:     &spec,
+					Label:     fmt.Sprintf("safety/%s/%s", b.Name, spec),
+				}})
 			}
 		}
 	}

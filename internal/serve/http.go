@@ -170,6 +170,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		// Commit the headers now, so a client knows it is attached even
+		// while the job is still queued or running with no event yet.
+		flusher.Flush()
+	}
 	enc := json.NewEncoder(w)
 	cursor := 0
 	for {
