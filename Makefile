@@ -59,8 +59,8 @@ tier-lint:
 	$(GO) run ./cmd/visavet ./...
 
 # Tier obs: the observability gate — the obs package's full suite
-# (coalescing-sink algebra, crash/restart idempotence, histograms, CSV
-# schema errors, profiling scopes), the rt-level coalesced-campaign
+# (coalescing-sink algebra, crash/restart idempotence, histograms,
+# profiling scopes), the rt-level metrics and coalesced-campaign
 # determinism tests (byte-identical -j 1 vs -j 8), the binary-level
 # profiling/coalescing checks, and the sink-scaling benchmarks run as
 # tests (one iteration, so they stay compilable and runnable; the sink's

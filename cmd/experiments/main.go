@@ -230,10 +230,9 @@ func metricsSink(dir, name string) (*obs.Sink, func() error) {
 	if dir == "" {
 		return nil, func() error { return nil }
 	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
+	f, err := os.Create(filepath.Join(dir, name))
 	check(err)
-	mw := obs.NewMetricsWriter(f, obs.FormatForPath(path))
+	mw := obs.NewMetricsWriter(f)
 	return &obs.Sink{Metrics: mw}, func() error {
 		if err := mw.Close(); err != nil {
 			f.Close()

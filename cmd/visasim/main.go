@@ -4,7 +4,7 @@
 // Usage:
 //
 //	visasim [-proc simple|complex] [-mhz 1000] [-runs 1] [-j NumCPU]
-//	        [-trace out.json] [-metrics out.jsonl|out.csv]
+//	        [-trace out.json] [-metrics out.jsonl]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out] [-pprof addr]
 //	        (-bench name[,name...]|all | file.c)
 //	visasim -conform (-gen seed [-keep i,j] [-dump] | -bench name|all | file.c)
@@ -12,20 +12,18 @@
 // With -bench it runs embedded C-lab benchmarks — one name, a
 // comma-separated list, or "all"; otherwise it compiles and runs the given
 // mini-C file. Multiple -runs share cache and predictor state, showing
-// cold-versus-steady behaviour. With several benchmarks the simulations
-// are independent jobs executed on -j workers; their reports and metrics
-// records are merged in benchmark order, so the output is byte-identical
-// for any -j.
+// cold-versus-steady behaviour. Each benchmark is an independent job on
+// the rt experiment engine with -j workers; reports and metrics records
+// are merged in benchmark order, so the output is byte-identical for any
+// -j.
 //
 // -trace writes a Chrome trace-event (catapult) JSON file with one slice
 // per run and per sub-task plus cache-miss counter tracks; load it at
 // https://ui.perfetto.dev or chrome://tracing (single benchmark only — the
 // trace is one shared timeline). -metrics streams one machine-readable
 // record per run and per sub-task, then the full counter registry, as
-// JSONL (or CSV for .csv paths — note the stream mixes record kinds, so
-// CSV, which requires one uniform schema per file, reports a schema error;
-// use JSONL for visasim metrics). Both outputs use simulated time only and
-// are byte-identical across repeated runs.
+// JSONL. Both outputs use simulated time only and are byte-identical
+// across repeated runs.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run;
 // -pprof serves net/http/pprof live for long simulations.
@@ -46,7 +44,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"visa/internal/cache"
 	"visa/internal/clab"
@@ -82,7 +79,7 @@ func main() {
 	bench := flag.String("bench", "", `embedded C-lab benchmark: one name, "a,b,c", or "all"`)
 	j := flag.Int("j", runtime.NumCPU(), "parallel workers when simulating multiple benchmarks")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
-	metricsPath := flag.String("metrics", "", "write per-run/per-sub-task metrics (JSONL, or CSV for .csv)")
+	metricsPath := flag.String("metrics", "", "write per-run/per-sub-task metrics (JSONL)")
 	injectFlag := flag.String("inject", "",
 		"seeded fault plan kind:rate[:cycles[:seed]] (kinds: "+kindNames()+")")
 	conformFlag := flag.Bool("conform", false,
@@ -186,56 +183,31 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		mw = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsPath))
+		mw = obs.NewMetricsWriter(mf)
 	}
 
-	// Run the jobs: directly against the real writers when there is a
-	// single job (or worker), otherwise into per-job record buffers that
-	// are replayed in benchmark order — the same deterministic-merge
-	// discipline as the rt experiment engine.
-	outputs := make([]string, len(jobs))
-	errs := make([]error, len(jobs))
-	bufs := make([]*obs.MetricsWriter, len(jobs))
-	workers := *j
-	if workers <= 0 {
-		workers = 1
+	// The engine merges the jobs' metrics records into mw in benchmark
+	// order. The tracer is a shared timeline, so only a single job, which
+	// the check above guarantees, ever receives it.
+	plan := &rt.Plan{Name: "visasim"}
+	for _, job := range jobs {
+		plan.Jobs = append(plan.Jobs, rt.Job{Run: func(sink *obs.Sink) (rt.JobResult, error) {
+			out, err := runSim(job, proc, *mhz, *runs, spec, tr, sink.M())
+			return rt.JobResult{Custom: out}, err
+		}})
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	rep, err := (&rt.Engine{Workers: *j, Sink: &obs.Sink{Metrics: mw}}).Run(plan)
+	if err != nil {
+		fatal(err)
 	}
-	if len(jobs) == 1 {
-		outputs[0], errs[0] = runSim(jobs[0], proc, *mhz, *runs, spec, tr, mw)
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if mw != nil {
-						bufs[i] = obs.NewRecordBuffer()
-					}
-					outputs[i], errs[i] = runSim(jobs[i], proc, *mhz, *runs, spec, nil, bufs[i])
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
 	for i, job := range jobs {
-		if errs[i] != nil {
-			fatal(errs[i])
+		if rep.Errors[i] != nil {
+			fatal(rep.Errors[i])
 		}
 		if len(jobs) > 1 {
 			fmt.Printf("== %s ==\n", job.name)
 		}
-		fmt.Print(outputs[i])
-		bufs[i].Replay(mw)
+		fmt.Print(rep.Results[i].Custom)
 	}
 
 	if tr != nil {
@@ -512,18 +484,13 @@ func runSim(job simJob, proc rt.Proc, mhz, runs int, spec *fault.Spec, tr *obs.T
 	}
 
 	for _, s := range reg.Snapshot() {
-		rec := obs.Record{
+		mw.Write(obs.Record{
 			obs.F("kind", "counter"),
 			obs.F("task", taskName),
 			obs.F("proc", procName),
 			obs.F("name", s.Name),
-		}
-		if s.Integer {
-			rec = append(rec, obs.F("value", s.Int()))
-		} else {
-			rec = append(rec, obs.F("value", s.Value))
-		}
-		mw.Write(rec)
+			obs.F("value", s.Value),
+		})
 	}
 	return out.String(), nil
 }

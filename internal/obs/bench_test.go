@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkNilTracer measures the disabled path: a traced call site through
-// a nil *Tracer. This is the entire per-event cost the run-time harness
-// pays with tracing off (the pipelines' per-instruction paths carry no obs
-// calls at all — counters are sampled lazily at snapshot time).
+// a nil *Tracer, the per-event cost visasim pays without -trace (the
+// pipelines' per-instruction paths carry no obs calls at all — counters
+// are sampled lazily at snapshot time).
 func BenchmarkNilTracer(b *testing.B) {
 	var tr *Tracer
 	for i := 0; i < b.N; i++ {
@@ -33,7 +33,7 @@ func BenchmarkTracerComplete(b *testing.B) {
 
 // BenchmarkMetricsJSONL measures the per-record JSONL emission cost.
 func BenchmarkMetricsJSONL(b *testing.B) {
-	mw := NewMetricsWriter(io.Discard, FormatJSONL)
+	mw := NewMetricsWriter(io.Discard)
 	for i := 0; i < b.N; i++ {
 		mw.Write(Record{F("kind", "instance"), F("n", i), F("x", 2.5), F("ok", true)})
 	}

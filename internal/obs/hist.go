@@ -134,35 +134,11 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// fmtBound renders a boundary deterministically for sample/field names.
+// fmtBound renders a boundary deterministically for field names.
 func fmtBound(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
 
-// Samples expands the histogram into registry samples: <name>.count, .sum,
-// .min, .max, one cumulative <name>.le.<bound> per boundary, and
-// <name>.overflow. The expansion is deterministic; Registry.Snapshot sorts
-// it with everything else.
-func (h *Histogram) Samples() []Sample {
-	if h == nil {
-		return nil
-	}
-	out := make([]Sample, 0, len(h.bounds)+5)
-	out = append(out,
-		Sample{Name: h.name + ".count", Value: float64(h.count), Integer: true},
-		Sample{Name: h.name + ".sum", Value: h.sum},
-		Sample{Name: h.name + ".min", Value: h.Min()},
-		Sample{Name: h.name + ".max", Value: h.Max()},
-	)
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		out = append(out, Sample{Name: h.name + ".le." + fmtBound(b), Value: float64(cum), Integer: true})
-	}
-	out = append(out, Sample{Name: h.name + ".overflow", Value: float64(h.counts[len(h.bounds)]), Integer: true})
-	return out
-}
-
-// Record renders the histogram as one ordered metrics record — the
-// snapshot path for streamed (per-job, plan-order merged) export. Context
+// Record renders the histogram as one ordered metrics record — its
+// export path (per-job, plan-order merged). Context
 // fields (kind, label, bench, ...) are prepended in the order given.
 func (h *Histogram) Record(context ...Field) Record {
 	if h == nil {

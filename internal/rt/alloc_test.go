@@ -30,7 +30,7 @@ func TestRunTaskAllocBudget(t *testing.T) {
 	ps := newProcSim(s.Prog, ProcComplex, plan.Spec.FMHz)
 	var runErr error
 	run := func() {
-		if _, err := ps.runTask(plan, acct, 0, nil); err != nil {
+		if _, err := ps.runTask(plan, acct, 0); err != nil {
 			runErr = err
 		}
 	}

@@ -26,7 +26,7 @@ func smallSafetyPlan() *Plan {
 func runCoalesced(t *testing.T, workers int, coalesce bool) (string, string) {
 	t.Helper()
 	var metrics bytes.Buffer
-	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
+	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics)}
 	eng := &Engine{Workers: workers, Sink: sink, Coalesce: coalesce}
 	rep, err := eng.Run(smallSafetyPlan())
 	if err != nil {
@@ -149,7 +149,7 @@ func TestCoalescedCountersReconcile(t *testing.T) {
 func TestCoalescedComparisonPlans(t *testing.T) {
 	run := func(workers int) (string, string) {
 		var metrics bytes.Buffer
-		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
+		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics)}
 		eng := &Engine{Workers: workers, Sink: sink, Coalesce: true}
 		rep, err := eng.Run(Figure2Plan(clab.All()[:3], 15))
 		if err != nil {

@@ -34,9 +34,7 @@ type Engine struct {
 	// Workers is the pool size; <= 0 selects runtime.NumCPU().
 	Workers int
 
-	// Sink receives the merged metrics stream. Attaching a Tracer or
-	// Registry forces serial execution: their timelines/name-spaces are
-	// shared mutable state that only an in-order run keeps deterministic.
+	// Sink receives the merged metrics stream.
 	Sink *obs.Sink
 
 	// CycleBudget, when > 0, is applied as Config.CycleBudget to every
@@ -101,9 +99,6 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if e.sink().T() != nil || e.sink().R() != nil {
-		workers = 1
-	}
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -123,7 +118,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], bufs[i], errs[i] = e.runOnce(jobs[i], workers == 1, metricsOn)
+				results[i], bufs[i], errs[i] = e.runOnce(jobs[i], metricsOn)
 				if e.OnJobDone != nil {
 					e.OnJobDone(i, results[i], bufs[i].Records(), errs[i])
 				}
@@ -160,7 +155,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 
 // runOnce executes one job under the panic barrier, writing its metrics
 // into a fresh record buffer (and coalescer, when enabled).
-func (e *Engine) runOnce(job Job, serial, metricsOn bool) (JobResult, *obs.MetricsWriter, error) {
+func (e *Engine) runOnce(job Job, metricsOn bool) (JobResult, *obs.MetricsWriter, error) {
 	sink := &obs.Sink{}
 	var buf *obs.MetricsWriter
 	var cs *obs.CoalescingSink
@@ -171,12 +166,6 @@ func (e *Engine) runOnce(job Job, serial, metricsOn bool) (JobResult, *obs.Metri
 			cs = obs.NewCoalescingSink(buf, obs.CoalesceOptions{})
 			sink.Counters = cs
 		}
-	}
-	if serial {
-		// Serial runs may share the engine's tracer and counter
-		// registry directly: jobs arrive in order.
-		sink.Trace = e.sink().T()
-		sink.Registry = e.sink().R()
 	}
 	res, err := safeRun(job, sink)
 	if cerr := cs.Close(); cerr != nil && err == nil {

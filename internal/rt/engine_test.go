@@ -25,7 +25,7 @@ func runAllPlans(t *testing.T, workers, instances int) (string, string) {
 		Figure4Plan(all, instances),
 	} {
 		var buf bytes.Buffer
-		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf, obs.FormatJSONL)}
+		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf)}
 		rep, err := (&Engine{Workers: workers, Sink: sink}).Run(plan)
 		if err != nil {
 			t.Fatalf("plan %s (j=%d): %v", plan.Name, workers, err)
@@ -77,30 +77,6 @@ func TestEngineDefaultWorkers(t *testing.T) {
 	}
 	if !strings.Contains(rep.Text, "FIGURE 3") {
 		t.Errorf("report text missing header:\n%s", rep.Text)
-	}
-}
-
-// TestEngineSharedSinkSerializes: a Tracer or Registry on the engine sink
-// is shared mutable state, so the engine must fall back to serial
-// execution — and still deliver trace events and counters.
-func TestEngineSharedSinkSerializes(t *testing.T) {
-	sink := &obs.Sink{Trace: obs.NewTracer(), Registry: obs.NewRegistry()}
-	rep, err := (&Engine{Workers: 8, Sink: sink}).Run(
-		Figure4Plan([]*clab.Benchmark{clab.ByName("cnt")}, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.SavingsRows()) != 4 {
-		t.Errorf("%d rows, want 4", len(rep.SavingsRows()))
-	}
-	if sink.Trace.Len() == 0 {
-		t.Error("no trace events from serialized instrumented run")
-	}
-	if sink.Registry.Len() == 0 {
-		t.Error("no counters registered from serialized instrumented run")
 	}
 }
 

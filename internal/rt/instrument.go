@@ -1,194 +1,6 @@
 package rt
 
-import (
-	"fmt"
-
-	"visa/internal/core"
-	"visa/internal/obs"
-)
-
-// Trace lanes (thread ids) within one processor's timeline process.
-const (
-	tidTask = 1 // task-instance slices
-	tidSub  = 2 // per-sub-task slices
-	tidMode = 3 // checkpoint / mode-switch / DVS events
-)
-
-// instanceObs translates one task instance's cycle-domain happenings into
-// trace events on the experiment's simulated-time axis. It mirrors
-// runTask's time accounting exactly: cycles before the recovery switch are
-// priced at the speculative frequency, the switch itself costs OvhdNs
-// (EQ 1-4's ovhd term), and cycles after the resume point are priced at the
-// recovery frequency — so trace timestamps agree with the reported task
-// times to the nanosecond. All methods are no-ops on a nil receiver, the
-// disabled path of the run-time harness.
-type instanceObs struct {
-	tr     *obs.Tracer
-	pid    int
-	idx    int
-	baseNs float64 // release time of this instance (idx * deadline)
-	fsMHz  int
-	frMHz  int
-
-	switched    bool
-	switchAt    int64   // cycle of the miss / frequency-switch point
-	switchStart int64   // cycle at which recovery-domain timing resumes
-	specNs      float64 // task-relative ns of the switch point
-}
-
-func newInstanceObs(tr *obs.Tracer, pid, idx int, baseNs float64, plan *core.Plan) *instanceObs {
-	if tr == nil {
-		return nil
-	}
-	return &instanceObs{
-		tr: tr, pid: pid, idx: idx, baseNs: baseNs,
-		fsMHz: plan.Spec.FMHz, frMHz: plan.Rec.FMHz,
-	}
-}
-
-// nsAt maps a task-relative cycle to absolute experiment nanoseconds.
-func (o *instanceObs) nsAt(c int64) float64 {
-	if !o.switched || c <= o.switchAt {
-		return o.baseNs + float64(c)*1000/float64(o.fsMHz)
-	}
-	if c < o.switchStart {
-		c = o.switchStart // the drain window collapses onto the ovhd span
-	}
-	return o.baseNs + o.specNs + OvhdNs + float64(c-o.switchStart)*1000/float64(o.frMHz)
-}
-
-// subTask records sub-task k's execution slice and its reconstructed AET.
-func (o *instanceObs) subTask(k int, startCyc, endCyc int64, aetCycles float64) {
-	if o == nil {
-		return
-	}
-	st, en := o.nsAt(startCyc), o.nsAt(endCyc)
-	o.tr.Complete(o.pid, tidSub, "subtask", fmt.Sprintf("sub-task %d", k), st, en-st,
-		obs.A("instance", o.idx), obs.A("sub_task", k),
-		obs.A("aet_cycles_1ghz", aetCycles))
-}
-
-// checkpoint records a passed checkpoint at a sub-task boundary: the
-// watchdog had marginCycles left and gains budgetAdd for the next sub-task.
-func (o *instanceObs) checkpoint(k int, nowCyc, marginCycles, budgetAdd int64) {
-	if o == nil {
-		return
-	}
-	ns := o.nsAt(nowCyc)
-	o.tr.Instant(o.pid, tidMode, "visa", fmt.Sprintf("checkpoint %d pass", k), ns,
-		obs.A("instance", o.idx), obs.A("sub_task", k),
-		obs.A("margin_cycles", marginCycles), obs.A("budget_add_cycles", budgetAdd))
-	o.tr.Counter(o.pid, "watchdog margin", ns, obs.A("cycles", marginCycles))
-}
-
-// petMispredict records the watchdog expiry on the explicitly-safe core:
-// the sub-task finishes at f_spec and the frequency switch is deferred to
-// the next boundary (EQ 2, conventional recovery).
-func (o *instanceObs) petMispredict(k int, nowCyc int64) {
-	if o == nil {
-		return
-	}
-	o.tr.Instant(o.pid, tidMode, "visa", "watchdog.fired", o.nsAt(nowCyc),
-		obs.A("instance", o.idx), obs.A("sub_task", k), obs.A("recovery", "EQ2"))
-	o.tr.Instant(o.pid, tidMode, "visa", "pet-mispredict", o.nsAt(nowCyc),
-		obs.A("instance", o.idx), obs.A("sub_task", k))
-	o.tr.Counter(o.pid, "watchdog margin", o.nsAt(nowCyc), obs.A("cycles", 0))
-}
-
-// checkpointMiss records the recovery switch: on the complex core a missed
-// checkpoint with a drain into simple mode (EQ 4), on simple-fixed the
-// deferred frequency switch (EQ 2). The OvhdNs span is the equations' fixed
-// overhead term, attributed explicitly.
-func (o *instanceObs) checkpointMiss(k int, atCyc, resumeCyc int64, simpleMode bool) {
-	if o == nil {
-		return
-	}
-	missNs := o.nsAt(atCyc)
-	o.specNs = missNs - o.baseNs
-	o.switched, o.switchAt, o.switchStart = true, atCyc, resumeCyc
-	name, eq := "freq-switch", "EQ2"
-	if simpleMode {
-		name, eq = "mode-switch (simple)", "EQ4"
-		o.tr.Instant(o.pid, tidMode, "visa", "checkpoint miss", missNs,
-			obs.A("instance", o.idx), obs.A("sub_task", k))
-	}
-	o.tr.Complete(o.pid, tidMode, "visa", name, missNs, OvhdNs,
-		obs.A("instance", o.idx), obs.A("sub_task", k), obs.A("recovery", eq),
-		obs.A("ovhd_ns", OvhdNs), obs.A("drain_cycles", resumeCyc-atCyc),
-		obs.A("from_mhz", o.fsMHz), obs.A("to_mhz", o.frMHz))
-}
-
-// forcedSimple records the degenerate-plan case: the first checkpoint is
-// already unreachable, so the whole task runs in simple mode at the
-// recovery point (the VISA-safe configuration).
-func (o *instanceObs) forcedSimple() {
-	if o == nil {
-		return
-	}
-	o.switched, o.switchAt, o.switchStart, o.specNs = true, 0, 0, 0
-	o.tr.Complete(o.pid, tidMode, "visa", "mode-switch (simple)", o.baseNs, OvhdNs,
-		obs.A("instance", o.idx), obs.A("recovery", "EQ4"), obs.A("degenerate", true),
-		obs.A("ovhd_ns", OvhdNs), obs.A("from_mhz", o.fsMHz), obs.A("to_mhz", o.frMHz))
-}
-
-// recovery records the post-switch execution span (simple mode or the
-// recovery frequency) once the task's end cycle is known.
-func (o *instanceObs) recovery(endCyc int64, simpleMode bool) {
-	if o == nil || !o.switched {
-		return
-	}
-	st, en := o.nsAt(o.switchStart), o.nsAt(endCyc)
-	name := "recovery (f_rec)"
-	if simpleMode {
-		name = "recovery (simple mode)"
-	}
-	if en > st {
-		o.tr.Complete(o.pid, tidMode, "visa", name, st, en-st,
-			obs.A("instance", o.idx), obs.A("rec_mhz", o.frMHz))
-	}
-}
-
-// instanceDone records the whole task-instance slice with its outcome.
-func (o *instanceObs) instanceDone(timeNs, usedNs, deadlineNs float64, missed bool) {
-	if o == nil {
-		return
-	}
-	o.tr.Complete(o.pid, tidTask, "task", "task instance", o.baseNs, timeNs,
-		obs.A("instance", o.idx), obs.A("missed", missed),
-		obs.A("time_ns", timeNs), obs.A("used_ns", usedNs),
-		obs.A("slack_ns", deadlineNs-usedNs))
-	o.tr.Counter(o.pid, "deadline slack (ns)", o.baseNs+usedNs,
-		obs.A("ns", deadlineNs-usedNs))
-}
-
-// obsLane returns the tracer process id for one processor's timeline and
-// declares its lanes. The lane name carries the experiment label so that
-// multi-experiment traces stay separated.
-func obsLane(tr *obs.Tracer, label, bench, proc string) int {
-	name := bench + "/" + proc
-	if label != "" {
-		name = label + " " + name
-	}
-	pid := tr.Pid(name)
-	tr.ThreadName(pid, tidTask, "task instances")
-	tr.ThreadName(pid, tidSub, "sub-tasks")
-	tr.ThreadName(pid, tidMode, "visa events")
-	return pid
-}
-
-// registerObs wires the processor's structures into the counter registry
-// under prefix: caches, memory bus, and the active pipeline (complex cores
-// include their simple-mode engine).
-func (ps *procSim) registerObs(reg *obs.Registry, prefix string) {
-	ps.ic.RegisterObs(reg, prefix+".icache")
-	ps.dc.RegisterObs(reg, prefix+".dcache")
-	ps.bus.RegisterObs(reg, prefix+".bus")
-	if ps.cx != nil {
-		ps.cx.RegisterObs(reg, prefix+".pipe")
-	} else {
-		ps.sp.RegisterObs(reg, prefix+".pipe")
-	}
-}
+import "visa/internal/obs"
 
 // jobInstruments holds one processor run's distributional instruments:
 // deterministic fixed-boundary histograms and simulated-time timers for
@@ -209,8 +21,8 @@ type jobInstruments struct {
 	slack *obs.Histogram
 }
 
-// newJobInstruments builds the instrument set under the run's registry
-// prefix (so one registry can host many runs). Boundaries are fixed powers
+// newJobInstruments builds the instrument set under the run's series
+// prefix (so one metrics stream can carry many runs). Boundaries are fixed powers
 // of two (deterministic, never rebalanced): cycle quantities span 1..2^26,
 // slack spans 1..2^27 ns.
 func newJobInstruments(prefix string) *jobInstruments {
@@ -219,17 +31,6 @@ func newJobInstruments(prefix string) *jobInstruments {
 		drain:   obs.MustTimer(prefix+".hist.switch_drain_cycles", obs.Exp2Boundaries(0, 16)),
 		latency: obs.MustTimer(prefix+".hist.instance_cycles", obs.Exp2Boundaries(4, 26)),
 		slack:   obs.MustHistogram(prefix+".hist.deadline_slack_ns", obs.Exp2Boundaries(0, 27)),
-	}
-}
-
-// register wires the instruments into the counter registry; Snapshot then
-// expands them alongside the scalar series.
-func (ji *jobInstruments) register(reg *obs.Registry) {
-	if ji == nil {
-		return
-	}
-	for _, h := range ji.hists() {
-		reg.Histogram(h)
 	}
 }
 

@@ -5,21 +5,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"visa/internal/clab"
 	"visa/internal/obs"
 )
 
-// fullSink builds a sink with all three surfaces backed by in-memory buffers.
+// fullSink builds a metrics sink backed by an in-memory buffer.
 func fullSink() (*obs.Sink, *bytes.Buffer) {
 	var metrics bytes.Buffer
-	return &obs.Sink{
-		Trace:    obs.NewTracer(),
-		Metrics:  obs.NewMetricsWriter(&metrics, obs.FormatJSONL),
-		Registry: obs.NewRegistry(),
-	}, &metrics
+	return &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics)}, &metrics
 }
 
 // decodeJSONL parses a JSONL stream into generic records.
@@ -42,11 +37,11 @@ func decodeJSONL(t *testing.T, b []byte) []map[string]any {
 }
 
 // TestObsDeterminism: running the same experiment twice with fresh sinks
-// must produce byte-identical metrics and trace output — the simulator's
-// reproducibility guarantee extends to its telemetry. The flush injection
-// exercises the full event vocabulary (checkpoint misses, mode switches).
+// must produce byte-identical metrics — the simulator's reproducibility
+// guarantee extends to its telemetry. The flush injection exercises
+// checkpoint misses and mode switches.
 func TestObsDeterminism(t *testing.T) {
-	run := func() (string, string) {
+	run := func() string {
 		sink, metrics := fullSink()
 		_, err := RunComparison(clab.ByName("cnt"), Config{
 			Tight: true, Instances: 25, FlushTasks: 7,
@@ -55,32 +50,22 @@ func TestObsDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trace bytes.Buffer
-		if err := sink.Trace.WriteChrome(&trace); err != nil {
-			t.Fatal(err)
-		}
 		if err := sink.Metrics.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return metrics.String(), trace.String()
+		return metrics.String()
 	}
-	m1, tr1 := run()
-	m2, tr2 := run()
+	m1 := run()
+	m2 := run()
 	if m1 != m2 {
 		t.Error("metrics output differs between identical runs")
 	}
-	if tr1 != tr2 {
-		t.Error("trace output differs between identical runs")
-	}
-	if !json.Valid([]byte(tr1)) {
-		t.Error("trace is not valid JSON")
-	}
-	if len(m1) == 0 || len(tr1) == 0 {
+	if len(m1) == 0 {
 		t.Error("instrumented run produced empty output")
 	}
 }
 
-// TestObsDoesNotPerturbSimulation: attaching the full sink must not change
+// TestObsDoesNotPerturbSimulation: attaching a metrics sink must not change
 // any simulated result — same energies, misses, and final frequencies as
 // the uninstrumented run.
 func TestObsDoesNotPerturbSimulation(t *testing.T) {
@@ -168,7 +153,7 @@ func TestInstanceRecordsReconcile(t *testing.T) {
 // sub-tasks.
 func TestTable3Records(t *testing.T) {
 	var metrics bytes.Buffer
-	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
+	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics)}
 	rep, err := (&Engine{Workers: 1, Sink: sink}).Run(Table3Plan(clab.All()))
 	if err != nil {
 		t.Fatal(err)
@@ -209,118 +194,6 @@ func TestTable3Records(t *testing.T) {
 		}
 		if subCount[row.Name] != row.SubTasks {
 			t.Errorf("%s: %d sub-task records, want %d", row.Name, subCount[row.Name], row.SubTasks)
-		}
-	}
-}
-
-// TestTraceEventVocabulary: with misprediction injection the trace must show
-// the whole VISA protocol — sub-task slices, checkpoint passes, checkpoint
-// misses with EQ4 mode switches, recovery spans, and watchdog counters — and
-// every complete event must have non-negative duration.
-func TestTraceEventVocabulary(t *testing.T) {
-	sink, _ := fullSink()
-	_, err := RunComparison(clab.ByName("cnt"), Config{
-		Tight: true, Instances: 25, FlushTasks: 7,
-		Obs: sink, Label: "vocab",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sink.Trace.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace does not parse: %v", err)
-	}
-	seen := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" && e.Dur < 0 {
-			t.Errorf("negative duration on %q", e.Name)
-		}
-		if e.Ts < 0 {
-			t.Errorf("negative timestamp on %q", e.Name)
-		}
-		switch {
-		case e.Name == "task instance":
-			seen["task"]++
-		case strings.HasPrefix(e.Name, "sub-task "):
-			seen["subtask"]++
-		case strings.HasPrefix(e.Name, "checkpoint ") && strings.HasSuffix(e.Name, "pass"):
-			seen["pass"]++
-		case e.Name == "checkpoint miss":
-			seen["miss"]++
-		case e.Name == "mode-switch (simple)":
-			seen["modeswitch"]++
-		case e.Name == "recovery (simple mode)":
-			seen["recovery"]++
-		case e.Name == "watchdog margin":
-			seen["watchdog"]++
-		case e.Name == "cache+predictor flush":
-			seen["flush"]++
-		}
-	}
-	for _, want := range []string{"task", "subtask", "pass", "miss", "modeswitch", "recovery", "watchdog", "flush"} {
-		if seen[want] == 0 {
-			t.Errorf("trace has no %q events (got %v)", want, seen)
-		}
-	}
-	// Both processors × 25 instances, one task slice each.
-	if seen["task"] != 2*25 {
-		t.Errorf("task slices = %d, want 50", seen["task"])
-	}
-}
-
-// TestRegistryCoversSubsystems: after an instrumented run the counter
-// registry must expose cache, bus, pipeline, and power series for both
-// processors, and the cache counters must be non-trivial.
-func TestRegistryCoversSubsystems(t *testing.T) {
-	sink, _ := fullSink()
-	_, err := RunComparison(clab.ByName("cnt"), Config{
-		Tight: true, Instances: 10, Obs: sink, Label: "reg",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := sink.Registry.Snapshot()
-	byName := map[string]obs.Sample{}
-	for _, s := range snap {
-		byName[s.Name] = s
-	}
-	for _, name := range []string{
-		"reg.cnt.complex.icache.accesses",
-		"reg.cnt.complex.dcache.misses",
-		"reg.cnt.complex.bus.requests",
-		"reg.cnt.complex.pipe.retired",
-		"reg.cnt.complex.pipe.rob_stalls",
-		"reg.cnt.complex.pipe.branch_mispredicts",
-		"reg.cnt.complex.power.energy.total",
-		"reg.cnt.simple-fixed.icache.accesses",
-		"reg.cnt.simple-fixed.pipe.retired",
-		"reg.cnt.simple-fixed.power.energy.total",
-	} {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("registry missing %q (have %d series)", name, len(snap))
-		}
-	}
-	if byName["reg.cnt.complex.icache.accesses"].Int() == 0 {
-		t.Error("complex icache access counter stayed zero across a run")
-	}
-	if byName["reg.cnt.complex.power.energy.total"].Value <= 0 {
-		t.Error("energy gauge not positive")
-	}
-	// Snapshot must be sorted (deterministic export order).
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Name > snap[i].Name {
-			t.Fatalf("snapshot unsorted at %d: %q > %q", i, snap[i-1].Name, snap[i].Name)
 		}
 	}
 }

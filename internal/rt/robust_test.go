@@ -43,7 +43,7 @@ func crashPlan(instances int) *Plan {
 func runCrashPlan(t *testing.T, workers int) (*Report, string, string) {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf, obs.FormatJSONL)}
+	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf)}
 	rep, err := (&Engine{Workers: workers, Sink: sink}).Run(crashPlan(6))
 	if err != nil {
 		t.Fatalf("j=%d: a panicking job must not fail the whole plan: %v", workers, err)

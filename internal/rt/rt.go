@@ -314,10 +314,10 @@ type Config struct {
 	// per-job timeout in the simulated-time domain for runaway simulations.
 	CycleBudget int64
 
-	// Obs attaches the instrumentation sink (tracer, metrics writer,
-	// counter registry). A nil sink — the default — disables all three
-	// surfaces at no cost. Label prefixes this run's trace lanes, metric
-	// records, and counter names so one sink can host many experiments.
+	// Obs attaches the metrics sink (metrics writer, coalescing counter
+	// sink). A nil sink — the default — disables both. Label tags this
+	// run's metric records and prefixes its counter and histogram names so
+	// one sink can host many experiments.
 	Obs   *obs.Sink
 	Label string
 }
@@ -358,7 +358,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// obsPrefix builds the counter-registry prefix for one processor's run.
+// obsPrefix builds the counter and histogram name prefix for one
+// processor's run.
 func (c Config) obsPrefix(bench, proc string) string {
 	p := bench + "." + proc
 	if c.Label != "" {

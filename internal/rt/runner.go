@@ -31,8 +31,8 @@ type procSim struct {
 	inject *fault.Injector
 	budget int64
 
-	// inst holds the run's distributional instruments (nil when both the
-	// metrics and registry surfaces are off; every method is nil-safe).
+	// inst holds the run's distributional instruments (nil when metrics
+	// are off; every method is nil-safe).
 	inst *jobInstruments
 }
 
@@ -122,9 +122,8 @@ type taskResult struct {
 // acct and returning timing. It implements the §2.2/§4.2 protocol: watchdog
 // armed at task start, advanced at each sub-task boundary, and on expiry the
 // processor drains, switches to the recovery frequency (and, on the complex
-// core, to simple mode), masking further checkpoint exceptions. ob (which
-// may be nil) records the protocol's events on the experiment timeline.
-func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, ob *instanceObs) (taskResult, error) {
+// core, to simple mode), masking further checkpoint exceptions.
+func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32) (taskResult, error) {
 	ps.machine.Reset()
 	if seed != 0 {
 		if err := clab.SetSeed(ps.machine, seed); err != nil {
@@ -156,7 +155,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			ps.bus.SetFreq(fr.FMHz)
 			fs = fr
 			switched = true
-			ob.forcedSimple()
 		}
 	}
 
@@ -193,7 +191,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			cyc = pre + post*recScale
 		}
 		res.aets[curSub] = cyc
-		ob.subTask(curSub, aetBoundary, now, cyc)
 	}
 
 	// Executing in batches keeps the functional machine's fused Fill loop
@@ -215,11 +212,9 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					// finished at the speculative frequency; remaining
 					// sub-tasks run at the recovery frequency.
 					doFreqSwitch(now)
-					ob.checkpointMiss(curSub, now, now, false)
 					pendingSwitch = false
 				}
 				if k >= 1 && wd.Armed() {
-					ob.checkpoint(k, now, wd.Remaining(now), plan.WatchdogAdd[k])
 					ps.inst.checkpointMargin(wd.Remaining(now))
 					wd.Add(now, plan.WatchdogAdd[k])
 				}
@@ -244,12 +239,10 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					res.missed = true
 					switchStart = ps.cx.SwitchToSimple(rt)
 					ps.bus.SetFreq(fr.FMHz)
-					ob.checkpointMiss(curSub, switchAt, switchStart, true)
 					ps.inst.switchDrain(switchAt, switchStart)
 				} else {
 					// PET misprediction on the explicitly-safe core: finish
 					// the sub-task at f_spec, then switch frequency.
-					ob.petMispredict(curSub, rt)
 					pendingSwitch = true
 				}
 			}
@@ -264,7 +257,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 	if pendingSwitch {
 		now := ps.now()
 		doFreqSwitch(now)
-		ob.checkpointMiss(curSub, now, now, false)
 	}
 	end := ps.now()
 	closeSub(end)
@@ -282,7 +274,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			OvhdNs +
 			float64(end-switchStart)*1000/float64(fr.FMHz)
 		res.simpleNs = float64(end-switchStart) * 1000 / float64(fr.FMHz)
-		ob.recovery(end, ps.cx != nil)
 	}
 	return res, nil
 }
@@ -335,16 +326,9 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		ps.attachInjector(inj)
 	}
 
-	tr := cfg.Obs.T()
-	pid := obsLane(tr, cfg.Label, s.Bench.Name, kind.String())
 	prefix := cfg.obsPrefix(s.Bench.Name, kind.String())
-	if cfg.Obs.M() != nil || cfg.Obs.R() != nil {
+	if cfg.Obs.M() != nil {
 		ps.inst = newJobInstruments(prefix)
-	}
-	if reg := cfg.Obs.R(); reg != nil {
-		ps.registerObs(reg, prefix)
-		acct.RegisterObs(reg, prefix+".power")
-		ps.inst.register(reg)
 	}
 
 	n := cfg.instances()
@@ -357,19 +341,15 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 
 	out := &ProcResult{Name: kind.String()}
 	for i := 0; i < n; i++ {
-		baseNs := float64(i) * deadline
 		if flushAt[i] || ps.inject.FlushInstance() {
 			ps.flush()
-			tr.Instant(pid, tidMode, "visa", "cache+predictor flush", baseNs,
-				obs.A("instance", i))
 		}
 		seed := int32(0)
 		if cfg.VaryInputSeeds {
 			seed = int32(1e6 + i*7919)
 		}
 		energyBefore := acct.Energy()
-		ob := newInstanceObs(tr, pid, i, baseNs, plan)
-		res, err := ps.runTask(plan, acct, seed, ob)
+		res, err := ps.runTask(plan, acct, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -399,9 +379,6 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		}
 		if injected := ps.inject.Take(); injected > 0 {
 			out.FaultsInjected += injected
-			tr.Instant(pid, tidMode, "fault", "fault.injected", baseNs+res.timeNs,
-				obs.A("instance", i), obs.A("count", injected),
-				obs.A("spec", cfg.Fault.String()))
 			// Per-event fault records are the campaign's dominant counter
 			// traffic; with a coalescing sink attached only the per-series
 			// net total reaches the durable stream (Θ(I), not O(events)).
@@ -452,9 +429,6 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 			}
 			acct.AddSegment(dvs, plan.Spec.Volts)
 			usedNs += DVSSoftwareCycles * 1000 / float64(plan.Spec.FMHz)
-			tr.Instant(pid, tidMode, "visa", "pet-reevaluation", baseNs+usedNs,
-				obs.A("instance", i),
-				obs.A("spec_mhz", plan.Spec.FMHz), obs.A("rec_mhz", plan.Rec.FMHz))
 		}
 		// Idle to the deadline at the lowest setting (§5.2).
 		idleNs := deadline - usedNs
@@ -462,7 +436,6 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 			idleCycles := int64(idleNs * float64(minPt.FMHz) / 1000)
 			acct.AddIdle(idleCycles, minPt.Volts)
 		}
-		ob.instanceDone(res.timeNs, usedNs, deadline, res.missed)
 		ps.inst.instanceDone(res.endCycles, deadline-usedNs)
 		if cs := cfg.Obs.C(); cs != nil {
 			// Coalesced mode: the per-instance scalars become net counters

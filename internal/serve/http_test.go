@@ -19,7 +19,7 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
+	s := openMem(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -22,7 +22,7 @@ func journalPath(t *testing.T) string {
 // the report — the reference for recovery comparisons.
 func runPlanInMemory(t *testing.T, spec rt.PlanSpec) string {
 	t.Helper()
-	s := New(Config{PoolWorkers: 1, EngineWorkers: 1})
+	s := openMem(t, Config{PoolWorkers: 1, EngineWorkers: 1})
 	id, err := s.Submit("ref", spec)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestJournalEntryRoundTrip(t *testing.T) {
 // with ErrJobTimeout (mapped to 504), and its error message carries only
 // the configured bound — no measured wall-time leaks into job state.
 func TestQueueTimeout(t *testing.T) {
-	s := New(Config{PoolWorkers: 1, EngineWorkers: 1, QueueTimeout: time.Minute})
+	s := openMem(t, Config{PoolWorkers: 1, EngineWorkers: 1, QueueTimeout: time.Minute})
 	base := time.Unix(5000, 0)
 	spec := tinyPlan()
 	plan, err := materialize(spec)

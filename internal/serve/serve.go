@@ -64,8 +64,7 @@ type Config struct {
 	// admission is journaled (write-ahead, internal/wal) before it is
 	// queued and every completion before it is observable, so a killed
 	// daemon restarted on the same journal rehydrates finished jobs and
-	// re-runs incomplete ones. Only Open honors it; New is the in-memory
-	// constructor.
+	// re-runs incomplete ones. Empty runs the server in memory.
 	JournalPath string
 
 	// JournalSync selects the fsync policy for journal appends (default
@@ -213,8 +212,8 @@ const (
 )
 
 // Server owns the job store, the admission layers, the journal, and the
-// engine configuration. Build with New (in-memory) or Open (journaled),
-// mount Handler on an http.Server, and call Drain on shutdown.
+// engine configuration. Build with Open, mount Handler on an http.Server,
+// and call Drain on shutdown.
 type Server struct {
 	cfg    Config
 	pool   *Pool
@@ -240,28 +239,19 @@ type Server struct {
 	journalErrs   atomic.Int64
 }
 
-// New builds an in-memory Server and starts its worker pool. The journal
-// configuration is ignored — use Open for a crash-safe server.
-func New(cfg Config) *Server {
-	cfg.JournalPath = ""
-	s := newServer(cfg.withDefaults())
-	s.pool = NewPool(s.cfg.PoolWorkers, s.cfg.QueueDepth, s.runJob)
-	return s
-}
-
-// Open builds a Server with its configured journal: existing records are
-// replayed (completed jobs rehydrate as done, incomplete ones re-enqueue
-// in admission order, counter baselines reseed) before the worker pool
-// starts, and every subsequent admission/completion is journaled
-// write-ahead. With no JournalPath it is equivalent to New. Recovery
-// refuses corrupt journals with a typed error (wal.ErrCorrupt or
-// ErrJournal) rather than loading part of a history.
+// Open builds a Server and starts its worker pool. With a JournalPath,
+// existing records are replayed first (completed jobs rehydrate as done,
+// incomplete ones re-enqueue in admission order, counter baselines
+// reseed) and every subsequent admission/completion is journaled
+// write-ahead; without one the server runs in memory and the Recovery is
+// empty. Recovery refuses corrupt journals with a typed error
+// (wal.ErrCorrupt or ErrJournal) rather than loading part of a history.
 func Open(cfg Config) (*Server, *Recovery, error) {
-	cfg = cfg.withDefaults()
-	if cfg.JournalPath == "" {
-		return New(cfg), &Recovery{}, nil
+	s := newServer(cfg.withDefaults())
+	if s.cfg.JournalPath == "" {
+		s.pool = NewPool(s.cfg.PoolWorkers, s.cfg.QueueDepth, s.runJob)
+		return s, &Recovery{}, nil
 	}
-	s := newServer(cfg)
 	rec, err := s.recover()
 	if err != nil {
 		return nil, nil, err
@@ -483,7 +473,7 @@ func (s *Server) finishFailed(j *jobState, err error) {
 func jobEvents(i int, recs []obs.Record, err error) []Event {
 	evs := make([]Event, 0, len(recs)+1)
 	var buf bytes.Buffer
-	mw := obs.NewMetricsWriter(&buf, obs.FormatJSONL)
+	mw := obs.NewMetricsWriter(&buf)
 	for _, rec := range recs {
 		buf.Reset()
 		mw.Write(rec)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"visa/internal/rt"
+	"visa/internal/wal"
 )
 
 // tinyPlan is the cheapest real plan: one comparison job, few instances.
@@ -20,6 +22,16 @@ func tinyPlan() rt.PlanSpec {
 			Config: rt.ConfigSpec{Instances: 3, Label: "tiny/cnt"},
 		}},
 	}
+}
+
+// openMem opens an in-memory server (no journal).
+func openMem(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func waitDone(t *testing.T, j *jobState) {
@@ -119,7 +131,7 @@ func TestQuotasRefill(t *testing.T) {
 }
 
 func TestSubmitLifecycle(t *testing.T) {
-	s := New(Config{PoolWorkers: 1, EngineWorkers: 2})
+	s := openMem(t, Config{PoolWorkers: 1, EngineWorkers: 2})
 	id, err := s.Submit("alice", tinyPlan())
 	if err != nil {
 		t.Fatal(err)
@@ -161,14 +173,43 @@ func TestSubmitLifecycle(t *testing.T) {
 }
 
 func TestSubmitRejectsInvalidSpec(t *testing.T) {
-	s := New(Config{})
+	s := openMem(t, Config{})
 	if _, err := s.Submit("alice", rt.PlanSpec{Version: 9}); !errors.Is(err, rt.ErrInvalidSpec) {
 		t.Fatalf("err = %v, want ErrInvalidSpec", err)
 	}
 }
 
+// TestOpenCycleBudgetDefaults: the defaults apply once, so a negative
+// budget disables the engine's per-instance watchdog with or without a
+// journal, and zero selects DefaultCycleBudget.
+func TestOpenCycleBudgetDefaults(t *testing.T) {
+	for _, c := range []struct{ in, want int64 }{
+		{0, DefaultCycleBudget},
+		{-1, 0},
+		{5, 5},
+	} {
+		mem := openMem(t, Config{CycleBudget: c.in})
+		if mem.cfg.CycleBudget != c.want {
+			t.Errorf("in memory: budget %d -> %d, want %d", c.in, mem.cfg.CycleBudget, c.want)
+		}
+		journaled, _, err := Open(Config{CycleBudget: c.in, JournalSync: wal.SyncNever,
+			JournalPath: filepath.Join(t.TempDir(), "j.wal")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if journaled.cfg.CycleBudget != c.want {
+			t.Errorf("journaled: budget %d -> %d, want %d", c.in, journaled.cfg.CycleBudget, c.want)
+		}
+		for _, s := range []*Server{mem, journaled} {
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestSubmitQuotaDenied(t *testing.T) {
-	s := New(Config{QuotaRate: 0.001, QuotaBurst: 1, PoolWorkers: 1})
+	s := openMem(t, Config{QuotaRate: 0.001, QuotaBurst: 1, PoolWorkers: 1})
 	if _, err := s.Submit("alice", tinyPlan()); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +228,7 @@ func TestSubmitQuotaDenied(t *testing.T) {
 }
 
 func TestServerDrain(t *testing.T) {
-	s := New(Config{PoolWorkers: 1, EngineWorkers: 1})
+	s := openMem(t, Config{PoolWorkers: 1, EngineWorkers: 1})
 	id, err := s.Submit("alice", tinyPlan())
 	if err != nil {
 		t.Fatal(err)
