@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-all vet fmt-check race tier-flake test bench-engine clean
+.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable perfbench-check tier-all vet fmt-check race tier-flake test bench-engine clean
 
 all: build
 
@@ -59,8 +59,7 @@ tier-lint:
 	$(GO) run ./cmd/visavet ./...
 
 # Tier obs: the observability gate — the obs package's full suite
-# (coalescing-sink algebra, crash/restart idempotence, histograms,
-# profiling scopes), the rt-level metrics and coalesced-campaign
+# (coalescing-sink algebra, histograms, profiling scopes), the rt-level metrics and coalesced-campaign
 # determinism tests (byte-identical -j 1 vs -j 8), the binary-level
 # profiling/coalescing checks, and the sink-scaling benchmarks run as
 # tests (one iteration, so they stay compilable and runnable; the sink's
@@ -94,6 +93,13 @@ tier-durable:
 	$(GO) run ./cmd/visachaos -race -kills 3 -seed 1
 	./scripts/smoke_recovery.sh
 
+# Perfbench check: perfbench/ is its own module, so the root build and
+# tests never compile it; vet and test it so a change to an API it uses
+# cannot break the benchmark unseen. (go build ./... there would leave a
+# perfbench binary in the directory.)
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Tier flake: the whole suite three times at GOMAXPROCS 1 and 2, packages
 # in parallel, so timing-dependent tests meet a loaded machine. Not a CI
 # job: run it before trusting a fix to a test that waits on other goroutines.
@@ -101,7 +107,7 @@ tier-flake:
 	$(GO) test -count 3 -cpu 1,2 ./...
 
 # Tier all: every gate in one invocation.
-tier-all: tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable
+tier-all: tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable perfbench-check
 
 # Records the serial-vs-parallel wall-clock of the full evaluation
 # (`experiments -all -n 20` equivalent; see bench_test.go).

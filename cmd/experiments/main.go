@@ -82,10 +82,10 @@ func main() {
 	all := flag.Bool("all", false, "run everything")
 	metricsDir := flag.String("metrics", "", "directory for machine-readable metrics (JSONL per experiment)")
 	planPath := flag.String("plan", "", "run a serialized plan spec (JSON, the visad wire format) instead of the built-in figures")
-	campaign := flag.String("campaign", "", "run a named campaign instead of the figures (safety)")
+	campaign := flag.String("campaign", "", "run a named campaign instead of the figures (safety|conform)")
 	faults := flag.String("faults", "", "comma-separated fault kinds for -campaign safety (default: all)")
 	rates := flag.String("rates", "", "comma-separated injection rates per 1000 (default: 50,250)")
-	seed := flag.Uint64("seed", 0, "base seed for -campaign safety")
+	seed := flag.Uint64("seed", 0, "base seed for -campaign safety|conform")
 	coalesce := flag.Bool("coalesce", false,
 		"coalesce counter metrics (VSA S/Δ): durable records per distinct series, not per event")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")

@@ -7,6 +7,7 @@
 //	visad [-addr :8080] [-j NumCPU] [-workers 2] [-queue 16]
 //	      [-quota-rate 0] [-quota-burst 1] [-budget 1e9]
 //	      [-journal path] [-journal-sync always|never] [-queue-timeout 0]
+//	      [-drain-timeout 5m]
 //
 // API (see internal/serve):
 //

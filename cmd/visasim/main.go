@@ -4,6 +4,7 @@
 // Usage:
 //
 //	visasim [-proc simple|complex] [-mhz 1000] [-runs 1] [-j NumCPU]
+//	        [-inject kind:rate[:cycles[:seed]]]
 //	        [-trace out.json] [-metrics out.jsonl]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out] [-pprof addr]
 //	        (-bench name[,name...]|all | file.c)
@@ -24,6 +25,11 @@
 // record per run and per sub-task, then the full counter registry, as
 // JSONL. Both outputs use simulated time only and are byte-identical
 // across repeated runs.
+//
+// -inject perturbs the timing model with a seeded fault plan
+// (internal/fault), e.g. "branch-poison:250" or "mem-jitter:500:64:3";
+// every benchmark gets a fresh injector with the same seed, so the same
+// spec yields byte-identical output at any -j.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run;
 // -pprof serves net/http/pprof live for long simulations.
@@ -164,7 +170,7 @@ func main() {
 		jobs = append(jobs, simJob{prog.Name, prog})
 	default:
 		fmt.Fprintln(os.Stderr,
-			"usage: visasim [-proc simple|complex] [-mhz N] [-runs N] [-j N] [-trace out.json] [-metrics out.jsonl] (-bench name[,name...]|all | file.c)")
+			"usage: visasim [-proc simple|complex] [-mhz N] [-runs N] [-j N] [-inject kind:rate[:cycles[:seed]]] [-trace out.json] [-metrics out.jsonl] (-bench name[,name...]|all | file.c)")
 		os.Exit(2)
 	}
 

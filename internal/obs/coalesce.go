@@ -4,165 +4,70 @@ import "sort"
 
 // CoalescingSink is the VSA accumulator discipline applied to counter
 // telemetry: durable work scales with the number of distinct series (Θ(I)),
-// not the number of events (O(N)).
+// not the number of events (O(N)). The experiment engine gives each job
+// one, flushing into the job's private record buffer.
 //
 // Each key holds a durable baseline S (everything already flushed to the
 // underlying MetricsWriter) and an in-memory coalesced delta Δ. The hot
 // path, Add, only mutates Δ — self-cancelling traffic (+n followed by -n)
 // never reaches the durable stream at all. A key is flushed when |Δ|
-// reaches Threshold, when it has been dirty for MaxAge Add operations
-// (logical age — the sink never reads the wall clock, preserving the
-// repository's determinism contract), or at Close/FlushAll. The flush is
-// the idempotent VSA step
+// reaches coalesceThreshold, and every key with Δ ≠ 0 is flushed, in
+// sorted key order, at Close. The flush is the VSA step
 //
 //	S ← S ⊕ Δ;  Δ ← 0
 //
 // and emits one record {kind:"counter.flush", key, delta, total} where
-// total is the new baseline. Because every record carries the cumulative
-// total, replaying a durable stream is idempotent: consumers keep the last
-// total per key, and applying the stream twice yields the same state.
-//
-// Crash semantics: losing the in-memory Δ (a crash before flush) loses
-// only unflushed traffic — the durable stream temporarily under-counts
-// and never over-counts, and baselines are monotone in flush order. A
-// restarted sink resumes from the durable baselines via SeedBaseline
-// (or RestoreBaselines over the previous stream).
+// total is the new baseline, so a consumer keeps the last total per key.
 //
 // All methods are no-ops on a nil receiver, matching the rest of the
 // package: disabled means free.
 type CoalescingSink struct {
-	dst       *MetricsWriter
-	threshold int64
-	maxAge    int64
-
-	ops     int64 // logical clock: Add operations observed
-	flushes int   // flush records emitted
-
-	m     map[string]*centry
-	queue []dirtyKey // FIFO of dirty keys in became-dirty order
-	head  int
+	dst *MetricsWriter
+	m   map[string]*centry
 }
 
 type centry struct {
-	base    int64 // S: durable baseline (already flushed)
-	delta   int64 // Δ: coalesced, unflushed
-	dirtyAt int64 // ops value when the key last became dirty
-	queued  bool
+	base  int64 // S: durable baseline (already flushed)
+	delta int64 // Δ: coalesced, unflushed
 }
 
-type dirtyKey struct {
-	key string
-	at  int64 // matches centry.dirtyAt for live queue entries
-}
-
-// CoalesceOptions tunes a CoalescingSink's flush triggers. The zero value
-// selects defaults sized so that short jobs flush only at Close — exactly
-// one record per distinct dirty series.
-type CoalesceOptions struct {
-	// Threshold flushes a key when |Δ| reaches it. 0 selects
-	// DefaultCoalesceThreshold; negative disables threshold flushes.
-	Threshold int64
-	// MaxAge flushes a key once it has been dirty for this many Add
-	// operations (a logical clock, not wall time). 0 selects
-	// DefaultCoalesceMaxAge; negative disables age flushes.
-	MaxAge int64
-}
-
-// Default flush triggers: sized so that bursty counter traffic coalesces
-// aggressively while long-running streams still surface within a bounded
-// number of operations.
-const (
-	DefaultCoalesceThreshold = 1 << 20
-	DefaultCoalesceMaxAge    = 1 << 16
-)
+// coalesceThreshold flushes a key mid-stream once |Δ| reaches it, so a
+// single record's delta stays bounded on long runs.
+const coalesceThreshold = 1 << 20
 
 // NewCoalescingSink builds a sink flushing into dst (which it does not
 // own: Close flushes the sink but leaves dst open).
-func NewCoalescingSink(dst *MetricsWriter, o CoalesceOptions) *CoalescingSink {
-	th, age := o.Threshold, o.MaxAge
-	if th == 0 {
-		th = DefaultCoalesceThreshold
-	}
-	if age == 0 {
-		age = DefaultCoalesceMaxAge
-	}
-	return &CoalescingSink{
-		dst:       dst,
-		threshold: th,
-		maxAge:    age,
-		m:         make(map[string]*centry),
-	}
+func NewCoalescingSink(dst *MetricsWriter) *CoalescingSink {
+	return &CoalescingSink{dst: dst, m: make(map[string]*centry)}
 }
 
 // Add accumulates delta into the key's in-memory Δ. This is the O(1) hot
-// path: no I/O, no encoding — durable work happens only on flush triggers.
+// path: no I/O, no encoding — durable work happens only on a threshold
+// crossing or at Close.
 //
 //visa:hotpath
 func (c *CoalescingSink) Add(key string, delta int64) {
 	if c == nil {
 		return
 	}
-	c.ops++
 	e := c.m[key]
 	if e == nil {
 		//visa:allow(hotalloc): one entry per distinct series — Θ(I) total, amortized zero per event
 		e = &centry{}
 		c.m[key] = e
 	}
-	if c.maxAge > 0 && e.delta == 0 && delta != 0 && !e.queued {
-		e.queued, e.dirtyAt = true, c.ops
-		//visa:allow(hotalloc): dirty-key queue grows to the number of distinct series, then stays flat
-		c.queue = append(c.queue, dirtyKey{key, c.ops})
-	}
 	e.delta += delta
-	if e.delta == 0 {
-		// Self-cancelled: the key owes nothing, so its queue entry goes
-		// stale and the age window restarts when it next becomes dirty.
-		e.queued = false
-	}
-	if c.threshold > 0 && abs64(e.delta) >= c.threshold {
-		c.flushEntry(key, e)
-	}
-	c.ageFlush()
-}
-
-// ageFlush retires queue entries whose logical age reached MaxAge. Stale
-// entries (their key was flushed or self-cancelled since enqueueing) are
-// dropped without a record. Amortized O(1): each queue entry is popped once.
-func (c *CoalescingSink) ageFlush() {
-	if c.maxAge <= 0 {
-		return
-	}
-	for c.head < len(c.queue) && c.ops-c.queue[c.head].at >= c.maxAge {
-		dk := c.queue[c.head]
-		c.head++
-		e := c.m[dk.key]
-		if e == nil || !e.queued || e.dirtyAt != dk.at {
-			continue // stale: flushed (and possibly re-dirtied) since enqueue
-		}
-		if e.delta == 0 {
-			e.queued = false // self-cancelled: no durable work at all
-			continue
-		}
-		c.flushEntry(dk.key, e)
-	}
-	// Reclaim popped prefix space so churny keys (dirty → cancelled →
-	// dirty again, each re-dirtying enqueueing afresh) cannot grow the
-	// queue without bound: memory stays O(live dirty keys), amortized O(1).
-	if c.head == len(c.queue) {
-		c.queue, c.head = c.queue[:0], 0
-	} else if c.head > 32 && c.head > len(c.queue)/2 {
-		n := copy(c.queue, c.queue[c.head:])
-		c.queue, c.head = c.queue[:n], 0
+	if e.delta >= coalesceThreshold || e.delta <= -coalesceThreshold {
+		c.flush(key, e)
 	}
 }
 
-// flushEntry performs the idempotent VSA flush for one key: S ← S⊕Δ, Δ ← 0,
-// emitting the coalesced delta and the new cumulative baseline.
-func (c *CoalescingSink) flushEntry(key string, e *centry) {
+// flush performs the VSA flush for one key: S ← S⊕Δ, Δ ← 0, emitting the
+// coalesced delta and the new cumulative baseline.
+func (c *CoalescingSink) flush(key string, e *centry) {
 	e.base += e.delta
-	// The record build boxes its fields; the whole flush path (including
-	// those boxes) runs Θ(distinct series)·flushes times, never per event.
+	// The record build boxes its fields; the flush path runs once per key
+	// per Close plus once per threshold crossing, never per event.
 	//visa:allow(hotalloc): flush path — runs Θ(distinct series)·flushes times, never per event
 	c.dst.Write(Record{
 		F("kind", "counter.flush"), //visa:allow(hotalloc): flush-path boxing, bounded by flush count
@@ -171,15 +76,14 @@ func (c *CoalescingSink) flushEntry(key string, e *centry) {
 		F("total", e.base),         //visa:allow(hotalloc): flush-path boxing, bounded by flush count
 	})
 	e.delta = 0
-	e.queued = false
-	c.flushes++
 }
 
-// FlushAll flushes every dirty key in sorted key order (deterministic
-// output regardless of arrival order).
-func (c *CoalescingSink) FlushAll() {
+// Close flushes every key with Δ ≠ 0 in sorted key order (deterministic
+// output regardless of arrival order) and reports the destination
+// writer's sticky error. It does not close dst (the sink does not own it).
+func (c *CoalescingSink) Close() error {
 	if c == nil {
-		return
+		return nil
 	}
 	keys := make([]string, 0, len(c.m))
 	for k, e := range c.m {
@@ -189,117 +93,7 @@ func (c *CoalescingSink) FlushAll() {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		c.flushEntry(k, c.m[k])
+		c.flush(k, c.m[k])
 	}
-	c.queue, c.head = c.queue[:0], 0
-}
-
-// Close flushes all remaining deltas and reports the destination writer's
-// sticky error. It does not close dst (the sink does not own it).
-func (c *CoalescingSink) Close() error {
-	if c == nil {
-		return nil
-	}
-	c.FlushAll()
 	return c.dst.Err()
-}
-
-// Total returns the key's logical value S⊕Δ — the number an admission
-// gate would consult. It reads only memory.
-func (c *CoalescingSink) Total(key string) int64 {
-	if c == nil {
-		return 0
-	}
-	e := c.m[key]
-	if e == nil {
-		return 0
-	}
-	return e.base + e.delta
-}
-
-// Baseline returns the key's durable baseline S (what the stream already
-// carries).
-func (c *CoalescingSink) Baseline(key string) int64 {
-	if c == nil {
-		return 0
-	}
-	e := c.m[key]
-	if e == nil {
-		return 0
-	}
-	return e.base
-}
-
-// SeedBaseline installs a recovered durable baseline without emitting a
-// record — the restart path after a crash: rebuild S from the stream
-// (RestoreBaselines), seed a fresh sink, and resume accumulating.
-func (c *CoalescingSink) SeedBaseline(key string, total int64) {
-	if c == nil {
-		return
-	}
-	e := c.m[key]
-	if e == nil {
-		e = &centry{}
-		c.m[key] = e
-	}
-	e.base = total
-}
-
-// Flushes returns the number of flush records emitted — the durable write
-// count the Θ(I) argument bounds.
-func (c *CoalescingSink) Flushes() int {
-	if c == nil {
-		return 0
-	}
-	return c.flushes
-}
-
-// Distinct returns the number of distinct keys ever touched (the I in Θ(I)).
-func (c *CoalescingSink) Distinct() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.m)
-}
-
-// RestoreBaselines recovers the durable per-key baselines from a stream of
-// counter.flush records: last total wins, which is what makes replay
-// idempotent. Records of other kinds are ignored. Totals are accepted as
-// int64, int, or float64 — reparsing a JSONL stream yields float64.
-func RestoreBaselines(recs []Record) map[string]int64 {
-	out := map[string]int64{}
-	for _, r := range recs {
-		if r.Get("kind") != "counter.flush" {
-			continue
-		}
-		key, ok := r.Get("key").(string)
-		if !ok {
-			continue
-		}
-		if total, ok := asInt64(r.Get("total")); ok {
-			out[key] = total
-		}
-	}
-	return out
-}
-
-// asInt64 coerces the numeric types a counter total travels as: int64 in
-// freshly built records, float64 after a JSON round trip.
-func asInt64(v any) (int64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return x, true
-	case int:
-		return int64(x), true
-	case float64:
-		return int64(x), true
-	}
-	return 0, false
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

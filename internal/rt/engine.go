@@ -45,7 +45,7 @@ type Engine struct {
 	// Coalesce, when set (and metrics are attached), gives every job a
 	// private obs.CoalescingSink over its record buffer: countable events
 	// accumulate in RAM as per-key deltas and only the net effect is
-	// flushed (at the default threshold/age triggers and at job end), so
+	// flushed (when a key's delta reaches 2^20, and at job end), so
 	// the durable stream carries Θ(distinct series) counter records instead
 	// of one per event. The per-job sinks flush into per-job buffers
 	// replayed in plan order, so the merged stream stays byte-identical for
@@ -163,7 +163,7 @@ func (e *Engine) runOnce(job Job, metricsOn bool) (JobResult, *obs.MetricsWriter
 		buf = obs.NewRecordBuffer()
 		sink.Metrics = buf
 		if e.Coalesce {
-			cs = obs.NewCoalescingSink(buf, obs.CoalesceOptions{})
+			cs = obs.NewCoalescingSink(buf)
 			sink.Counters = cs
 		}
 	}

@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
-	"visa/internal/obs"
 	"visa/internal/rt"
 	"visa/internal/wal"
 )
@@ -31,20 +30,21 @@ import (
 // the lost run would have produced, making recovery exactly-once-
 // observable even though execution is at-least-once.
 //
-// Coalesced service counters ride the same journal: the CoalescingSink's
-// flush records become "counter" entries, and recovery seeds a fresh sink
-// from them (obs.RestoreBaselines → SeedBaseline). Counters derivable
-// from the job records themselves (submitted/completed/failed) are
-// rebuilt exactly from the replay; pure-rate counters (rejections) resume
-// from their last flushed baseline and can at most under-count by one
-// flush window — the coalescing design's stated crash bound.
+// The service counters need no journal entries of their own where the
+// job records already determine them: recovery derives submitted,
+// completed and failed exactly from the admit/done entries. Only the
+// three rejection counters, which no job record reflects, ride the
+// journal as "counter" entries. A rejection counter is journaled once it
+// has rejectFlushEvery unjournaled increments, behind every done entry,
+// and at close, so a crash loses fewer than rejectFlushEvery of its
+// increments.
 
 // Journal entry types.
 const (
 	entryAdmit   = "admit"   // job admitted: id, client, canonical plan spec
 	entryDone    = "done"    // job reached a terminal state: status, report, hash
 	entryReject  = "reject"  // admit cancelled (queue refused after the admit was journaled)
-	entryCounter = "counter" // coalesced counter flush: key, delta, cumulative total
+	entryCounter = "counter" // rejection counter: key, delta since its previous entry, total
 )
 
 // ErrJournal roots semantic journal failures: entries that decode but
@@ -90,38 +90,31 @@ func DecodeJournalEntry(data []byte) (JournalEntry, error) {
 	return e, nil
 }
 
-// Durable-counter flush triggers: small enough that a crash loses at most
-// a handful of rejection events, large enough that a rejection storm does
-// not turn the journal into a per-event log. Completion records flush all
-// dirty counters anyway, so these only bound loss between completions.
-const (
-	durableCounterThreshold = 8
-	durableCounterMaxAge    = 64
-)
+// rejectFlushEvery is the number of unjournaled increments that journals
+// a rejection counter: small enough that a crash loses only a handful of
+// rejections, large enough that a rejection storm does not turn the
+// journal into a per-event log. Done entries journal every pending
+// increment anyway, so this only bounds loss between completions.
+const rejectFlushEvery = 8
+
+// durableCounter ties a rejection counter's live value to the total its
+// last counter entry carried.
+type durableCounter struct {
+	key       string
+	live      *atomic.Int64
+	journaled int64
+}
 
 // journal serializes all durable writes of one Server: job entries and
-// coalesced counter flushes share a single append order.
+// rejection counter entries share a single append order.
 type journal struct {
 	mu       sync.Mutex
 	w        *wal.Writer
 	closed   bool
-	counters *obs.CoalescingSink
-	cbuf     *obs.MetricsWriter // counter flush records accumulate here, then drain
+	counters []durableCounter // the rejection counters, in key order
 }
 
-func newJournal(w *wal.Writer) *journal {
-	cbuf := obs.NewRecordBuffer()
-	return &journal{
-		w:    w,
-		cbuf: cbuf,
-		counters: obs.NewCoalescingSink(cbuf, obs.CoalesceOptions{
-			Threshold: durableCounterThreshold,
-			MaxAge:    durableCounterMaxAge,
-		}),
-	}
-}
-
-// append journals one entry (and any counter flushes it triggered).
+// append journals one entry.
 func (jl *journal) append(e JournalEntry) error {
 	if jl == nil {
 		return nil
@@ -142,31 +135,20 @@ func (jl *journal) appendLocked(e JournalEntry) error {
 	return jl.w.Append(data)
 }
 
-// add accumulates a coalesced counter delta and journals whatever the
-// sink decided to flush (threshold/age triggers).
-func (jl *journal) add(key string, delta int64) error {
+// rejected journals the rejection counters that reached rejectFlushEvery
+// unjournaled increments. Callers bump the live counter first.
+func (jl *journal) rejected() error {
 	if jl == nil {
 		return nil
 	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	jl.counters.Add(key, delta)
-	return jl.drainCountersLocked()
+	return jl.journalCountersLocked(rejectFlushEvery)
 }
 
-// seed installs a recovered counter baseline (no durable write).
-func (jl *journal) seed(key string, total int64) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	jl.counters.SeedBaseline(key, total)
-	jl.mu.Unlock()
-}
-
-// appendDone journals a completion entry and flushes every dirty counter
-// behind it — the completion is a durable write anyway, so the counters'
-// crash-loss window resets for free.
+// appendDone journals a completion entry and every pending rejection
+// increment behind it — the completion is a durable write anyway, so the
+// counters' crash-loss window resets for free.
 func (jl *journal) appendDone(e JournalEntry) error {
 	if jl == nil {
 		return nil
@@ -176,33 +158,33 @@ func (jl *journal) appendDone(e JournalEntry) error {
 	if err := jl.appendLocked(e); err != nil {
 		return err
 	}
-	jl.counters.FlushAll()
-	return jl.drainCountersLocked()
+	return jl.journalCountersLocked(1)
 }
 
-// drainCountersLocked converts flushed counter records into journal
-// entries. Callers hold jl.mu.
-func (jl *journal) drainCountersLocked() error {
-	recs := jl.cbuf.Records()
-	if len(recs) == 0 {
-		return nil
-	}
+// journalCountersLocked appends a counter entry for every rejection
+// counter with at least atLeast unjournaled increments. Callers hold jl.mu.
+func (jl *journal) journalCountersLocked(atLeast int64) error {
 	var firstErr error
-	for _, rec := range recs {
-		key, _ := rec.Get("key").(string)
-		delta, _ := rec.Get("delta").(int64)
-		total, _ := rec.Get("total").(int64)
-		err := jl.appendLocked(JournalEntry{Type: entryCounter, Key: key, Delta: delta, Total: total})
-		if err != nil && firstErr == nil {
-			firstErr = err
+	for i := range jl.counters {
+		c := &jl.counters[i]
+		total := c.live.Load()
+		if total-c.journaled < atLeast {
+			continue
 		}
+		err := jl.appendLocked(JournalEntry{Type: entryCounter, Key: c.key, Delta: total - c.journaled, Total: total})
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		c.journaled = total
 	}
-	jl.cbuf.Reset()
 	return firstErr
 }
 
-// close flushes remaining counter deltas and closes the wal file. Further
-// appends fail; it is safe to call more than once.
+// close journals every pending rejection increment and closes the wal
+// file. Further appends fail; it is safe to call more than once.
 func (jl *journal) close() error {
 	if jl == nil {
 		return nil
@@ -212,8 +194,7 @@ func (jl *journal) close() error {
 	if jl.closed {
 		return nil
 	}
-	jl.counters.FlushAll()
-	err := jl.drainCountersLocked()
+	err := jl.journalCountersLocked(1)
 	jl.closed = true
 	if cerr := jl.w.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -234,8 +215,9 @@ type Recovery struct {
 	// Rejected counts admits cancelled by a reject marker (the client was
 	// answered 429 — nothing to re-run).
 	Rejected int
-	// Counters is the number of counter series whose baselines were
-	// restored via obs.RestoreBaselines/SeedBaseline.
+	// Counters is the number of service counters that resumed at a
+	// nonzero value: job counters derived from the replay, rejection
+	// counters from their last counter entries.
 	Counters int
 	// Torn reports that a torn tail (a record cut mid-write by the crash)
 	// was truncated away — the expected crash shape, not an error.
@@ -248,13 +230,13 @@ func (r *Recovery) String() string {
 	if r.Torn {
 		tail = ", torn tail truncated"
 	}
-	return fmt.Sprintf("%d done, %d re-queued, %d rejected, %d counter baselines%s",
+	return fmt.Sprintf("%d done, %d re-queued, %d rejected, %d counters restored%s",
 		r.Done, r.Requeued, r.Rejected, r.Counters, tail)
 }
 
 // recover opens the configured journal, replays it, rehydrates the job
 // store, re-enqueues incomplete jobs in admission order, and restores
-// counter baselines. Any record that cannot be honored fails recovery
+// the service counters. Any record that cannot be honored fails recovery
 // with a typed error (wal.ErrCorrupt or ErrJournal) — never a partial
 // silent load.
 func (s *Server) recover() (*Recovery, error) {
@@ -262,14 +244,12 @@ func (s *Server) recover() (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.jl = newJournal(w)
-
 	var (
 		rec        = &Recovery{Torn: torn}
 		admitOrder []string
 		admits     = map[string]JournalEntry{}
 		terminal   = map[string]JournalEntry{} // last terminal entry wins (replay is idempotent)
-		counterRec []obs.Record
+		totals     = map[string]int64{}        // last counter entry's total per key
 		maxID      int
 	)
 	for i, data := range raw {
@@ -291,10 +271,7 @@ func (s *Server) recover() (*Recovery, error) {
 		case entryDone, entryReject:
 			terminal[e.ID] = e
 		case entryCounter:
-			counterRec = append(counterRec, obs.Record{
-				obs.F("kind", "counter.flush"), obs.F("key", e.Key),
-				obs.F("delta", e.Delta), obs.F("total", e.Total),
-			})
+			totals[e.Key] = e.Total
 		default:
 			w.Close() //visa:allow(errlint): the unknown-entry error is the one being reported
 			return nil, fmt.Errorf("%w: record %d: unknown entry type %q", ErrJournal, i, e.Type)
@@ -334,8 +311,10 @@ func (s *Server) recover() (*Recovery, error) {
 					{Type: "report", Text: term.Report, Failed: term.Failed},
 					{Type: "done", Status: StatusDone},
 				}
+				s.completed.Add(1)
 			} else {
 				j.events = []Event{{Type: "done", Status: StatusFailed, Error: term.Error}}
+				s.failed.Add(1)
 			}
 			s.jobs[id] = j
 			rec.Done++
@@ -356,45 +335,24 @@ func (s *Server) recover() (*Recovery, error) {
 		requeue = append(requeue, j)
 	}
 
-	// Counter baselines: flushed totals from the journal, superseded by
-	// exact counts wherever the job records themselves are authoritative.
-	base := obs.RestoreBaselines(counterRec)
-	derived := map[string]int64{
-		keySubmitted: int64(len(admitOrder)),
-		keyCompleted: 0,
-		keyFailed:    0,
+	// The job counters follow exactly from the job records (completed and
+	// failed were counted above); counter entries for them, which older
+	// journals wrote, are ignored. The rejection counters resume from
+	// their last journaled totals.
+	s.submitted.Store(int64(len(admitOrder) - rec.Rejected))
+	counters := s.rejectionCounters()
+	for i := range counters {
+		c := &counters[i]
+		c.journaled = totals[c.key]
+		c.live.Store(c.journaled)
 	}
-	for _, id := range admitOrder {
-		if term, ok := terminal[id]; ok && term.Type == entryDone {
-			switch term.Status {
-			case StatusDone:
-				derived[keyCompleted]++
-			case StatusFailed:
-				derived[keyFailed]++
-			}
+	for _, c := range []*atomic.Int64{&s.submitted, &s.completed, &s.failed,
+		&s.rejectedQueue, &s.rejectedQuota, &s.rejectedSpec} {
+		if c.Load() != 0 {
+			rec.Counters++
 		}
 	}
-	for _, key := range []string{keySubmitted, keyCompleted, keyFailed} {
-		n := derived[key]
-		if b := base[key]; b > n {
-			n = b
-		}
-		base[key] = n
-	}
-	baseKeys := make([]string, 0, len(base))
-	for key := range base {
-		baseKeys = append(baseKeys, key)
-	}
-	sort.Strings(baseKeys)
-	for _, key := range baseKeys {
-		total := base[key]
-		if total == 0 {
-			continue
-		}
-		s.jl.seed(key, total)
-		s.seedCounter(key, total)
-		rec.Counters++
-	}
+	s.jl = &journal{w: w, counters: counters}
 
 	// The queue must hold every recovered job: widen it if the backlog at
 	// crash time exceeded the configured depth.

@@ -193,6 +193,9 @@ func TestRecoverySkipsRejected(t *testing.T) {
 	if s.job("j000001") != nil {
 		t.Error("rejected job resurrected")
 	}
+	if got := s.submitted.Load(); got != 0 {
+		t.Errorf("submitted = %d, want 0 (a cancelled admit was never submitted)", got)
+	}
 }
 
 // TestRecoveryRejectsBadReportHash: a done record whose report does not
@@ -293,10 +296,10 @@ func TestRecoveryQueueWiderThanConfig(t *testing.T) {
 	}
 }
 
-// TestCountersSurviveRestart: the durable coalesced counters resume after
-// recovery — exact for the job counters (derived from the replay), and
-// at-least-last-flush for rejection counters (seeded via
-// obs.RestoreBaselines/SeedBaseline from journaled counter entries).
+// TestCountersSurviveRestart: the service counters resume after recovery
+// — exact for the job counters (derived from the replay) and for the
+// rejection counters after a Drain (whose close journals every pending
+// increment).
 func TestCountersSurviveRestart(t *testing.T) {
 	path := journalPath(t)
 	s1, _, err := Open(Config{PoolWorkers: 1, EngineWorkers: 1, JournalPath: path, JournalSync: wal.SyncNever})
@@ -307,8 +310,8 @@ func TestCountersSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Invalid specs bump the rejected_spec counter (pure-rate: no per-event
-	// journal record, only coalesced flushes).
+	// Invalid specs bump the rejected_spec counter (no per-event journal
+	// record: fewer than 8 pending increments wait for a later entry).
 	for i := 0; i < 3; i++ {
 		if _, err := s1.Submit("alice", rt.PlanSpec{Version: 99}); !errors.Is(err, rt.ErrInvalidSpec) {
 			t.Fatalf("bad spec err = %v", err)
@@ -317,7 +320,7 @@ func TestCountersSurviveRestart(t *testing.T) {
 	waitDone(t, s1.job(id))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := s1.Drain(ctx); err != nil { // close flushes every dirty counter
+	if err := s1.Drain(ctx); err != nil { // close journals every pending increment
 		t.Fatal(err)
 	}
 
@@ -325,8 +328,8 @@ func TestCountersSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Counters == 0 {
-		t.Fatalf("no counter baselines restored: %+v", rec)
+	if rec.Counters != 3 {
+		t.Fatalf("recovery restored %d counters, want 3: %+v", rec.Counters, rec)
 	}
 	if got := s2.submitted.Load(); got != 1 {
 		t.Errorf("submitted = %d, want 1", got)
@@ -337,10 +340,147 @@ func TestCountersSurviveRestart(t *testing.T) {
 	if got := s2.rejectedSpec.Load(); got != 3 {
 		t.Errorf("rejected_spec = %d, want 3", got)
 	}
-	// And the durable sink is seeded, so future flush totals continue
-	// cumulatively rather than restarting from zero.
-	if got := s2.jl.counters.Baseline(keyRejectedSpec); got != 3 {
-		t.Errorf("seeded baseline = %d, want 3", got)
+	// Counting resumes from the recovered total: one more rejection after
+	// the restart journals 4, not 1.
+	if _, err := s2.Submit("alice", rt.PlanSpec{Version: 99}); !errors.Is(err, rt.ErrInvalidSpec) {
+		t.Fatalf("bad spec err = %v", err)
+	}
+	if err := s2.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s3, _, err := Open(Config{JournalPath: path, JournalSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s3.rejectedSpec.Load(); got != 4 {
+		t.Errorf("rejected_spec after a second restart = %d, want 4", got)
+	}
+}
+
+// journalEntries decodes every entry of the journal at path.
+func journalEntries(t *testing.T, path string) []JournalEntry {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw, _, _, err := wal.Replay(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]JournalEntry, len(raw))
+	for i, data := range raw {
+		if out[i], err = DecodeJournalEntry(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestJournalFramesPerJob: a completed job costs exactly its admit and
+// done frames — the job counters are derived on recovery, so no counter
+// entry rides along when nothing was rejected.
+func TestJournalFramesPerJob(t *testing.T) {
+	const n = 4
+	path := journalPath(t)
+	s, _, err := Open(Config{PoolWorkers: 1, EngineWorkers: 1, JournalPath: path, JournalSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		id, err := s.Submit("alice", tinyPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, s.job(id))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, e := range journalEntries(t, path) {
+		types = append(types, e.Type)
+	}
+	if len(types) != 2*n {
+		t.Fatalf("%d completed jobs left %d frames, want %d: %v", n, len(types), 2*n, types)
+	}
+	for i, typ := range types {
+		if want := []string{entryAdmit, entryDone}[i%2]; typ != want {
+			t.Errorf("frame %d type = %s, want %s", i, typ, want)
+		}
+	}
+}
+
+// TestRejectionCounterCrashBound: a rejection counter is journaled every
+// rejectFlushEvery increments, so a crash (a reopen without Drain) loses
+// fewer than that many: 10 quota rejections recover as 8.
+func TestRejectionCounterCrashBound(t *testing.T) {
+	path := journalPath(t)
+	s, _, err := Open(Config{QuotaRate: 0.001, QuotaBurst: 1, PoolWorkers: 1,
+		JournalPath: path, JournalSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.quotas.Allow("alice") // spend the burst token without running a job
+	for i := 0; i < 10; i++ {
+		if _, err := s.Submit("alice", tinyPlan()); !errors.Is(err, ErrQuotaExceeded) {
+			t.Fatalf("submission %d: err = %v, want ErrQuotaExceeded", i, err)
+		}
+	}
+	if got := s.rejectedQuota.Load(); got != 10 {
+		t.Fatalf("live rejected_quota = %d, want 10", got)
+	}
+	// No Drain: the 2 increments past the last counter entry are lost.
+	s2, _, err := Open(Config{JournalPath: path, JournalSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.rejectedQuota.Load(); got != 8 {
+		t.Errorf("recovered rejected_quota = %d, want 8", got)
+	}
+}
+
+// TestRecoveryReadsOlderCounterEntries: journals written before the job
+// counters stopped being journaled also carry counter entries for them.
+// Such a journal still decodes and recovers the same counts: job counters
+// from the job records, rejection counters from their last entries.
+func TestRecoveryReadsOlderCounterEntries(t *testing.T) {
+	path := journalPath(t)
+	spec := mustEncode(t, tinyPlan())
+	writeJournal(t, path,
+		JournalEntry{Type: entryAdmit, ID: "j000001", Client: "c", Spec: spec},
+		JournalEntry{Type: entryDone, ID: "j000001", Status: StatusDone,
+			Report: "r", ReportHash: rt.ReportHash("r")},
+		JournalEntry{Type: entryCounter, Key: keyCompleted, Delta: 1, Total: 1},
+		JournalEntry{Type: entryCounter, Key: keySubmitted, Delta: 1, Total: 1},
+		JournalEntry{Type: entryCounter, Key: keyRejectedQuota, Delta: 8, Total: 8},
+		JournalEntry{Type: entryAdmit, ID: "j000002", Client: "c", Spec: spec},
+		JournalEntry{Type: entryDone, ID: "j000002", Status: StatusFailed, Error: "boom"},
+		JournalEntry{Type: entryCounter, Key: keyFailed, Delta: 1, Total: 1},
+		JournalEntry{Type: entryCounter, Key: keyRejectedSpec, Delta: 3, Total: 3},
+		JournalEntry{Type: entryCounter, Key: keySubmitted, Delta: 1, Total: 2},
+		JournalEntry{Type: entryCounter, Key: keyRejectedQuota, Delta: 2, Total: 10})
+	s, rec, err := Open(Config{JournalPath: path, JournalSync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Done != 2 || rec.Counters != 5 {
+		t.Fatalf("recovery = %+v, want 2 done and 5 counters", rec)
+	}
+	got := map[string]int64{}
+	for _, smp := range s.reg.Snapshot() {
+		got[smp.Name] = smp.Value
+	}
+	for key, want := range map[string]int64{
+		keySubmitted: 2, keyCompleted: 1, keyFailed: 1,
+		keyRejectedQuota: 10, keyRejectedSpec: 3, keyRejectedQueue: 0,
+	} {
+		if got[key] != want {
+			t.Errorf("%s = %d, want %d", key, got[key], want)
+		}
 	}
 }
 

@@ -200,8 +200,8 @@ func (j *jobState) next(cursor int) (evs []Event, terminal bool, wait <-chan str
 }
 
 // Durable counter keys: the service counters whose values survive a
-// restart through the journal (exact for the job counters, last-flush
-// baseline for the rejection counters).
+// restart through the journal (exact for the job counters, last journaled
+// total for the rejection counters).
 const (
 	keySubmitted     = "serve.jobs.submitted"
 	keyCompleted     = "serve.jobs.completed"
@@ -241,8 +241,8 @@ type Server struct {
 
 // Open builds a Server and starts its worker pool. With a JournalPath,
 // existing records are replayed first (completed jobs rehydrate as done,
-// incomplete ones re-enqueue in admission order, counter baselines
-// reseed) and every subsequent admission/completion is journaled
+// incomplete ones re-enqueue in admission order, the service counters
+// resume) and every subsequent admission/completion is journaled
 // write-ahead; without one the server runs in memory and the Recovery is
 // empty. Recovery refuses corrupt journals with a typed error
 // (wal.ErrCorrupt or ErrJournal) rather than loading part of a history.
@@ -283,30 +283,22 @@ func newServer(cfg Config) *Server {
 	return s
 }
 
-// count bumps a service counter on both its live atomic (registry reads)
-// and, when journaling, the durable coalesced sink.
-func (s *Server) count(key string, live *atomic.Int64) {
-	live.Add(1)
-	if err := s.jl.add(key, 1); err != nil {
-		s.journalErrs.Add(1)
+// rejectionCounters lists the rejection counters in key order — the only
+// counters the journal carries.
+func (s *Server) rejectionCounters() []durableCounter {
+	return []durableCounter{
+		{key: keyRejectedQueue, live: &s.rejectedQueue},
+		{key: keyRejectedQuota, live: &s.rejectedQuota},
+		{key: keyRejectedSpec, live: &s.rejectedSpec},
 	}
 }
 
-// seedCounter restores a recovered counter value into its live atomic.
-func (s *Server) seedCounter(key string, total int64) {
-	switch key {
-	case keySubmitted:
-		s.submitted.Store(total)
-	case keyCompleted:
-		s.completed.Store(total)
-	case keyFailed:
-		s.failed.Store(total)
-	case keyRejectedQuota:
-		s.rejectedQuota.Store(total)
-	case keyRejectedQueue:
-		s.rejectedQueue.Store(total)
-	case keyRejectedSpec:
-		s.rejectedSpec.Store(total)
+// reject bumps a rejection counter and journals it once enough
+// increments are pending.
+func (s *Server) reject(live *atomic.Int64) {
+	live.Add(1)
+	if err := s.jl.rejected(); err != nil {
+		s.journalErrs.Add(1)
 	}
 }
 
@@ -320,11 +312,11 @@ func (s *Server) Submit(client string, spec rt.PlanSpec) (string, error) {
 	}
 	plan, err := materialize(spec)
 	if err != nil {
-		s.count(keyRejectedSpec, &s.rejectedSpec)
+		s.reject(&s.rejectedSpec)
 		return "", err
 	}
 	if ok, wait := s.quotas.Allow(client); !ok {
-		s.count(keyRejectedQuota, &s.rejectedQuota)
+		s.reject(&s.rejectedQuota)
 		return "", &QuotaError{Client: client, RetryAfter: wait}
 	}
 
@@ -361,12 +353,12 @@ func (s *Server) Submit(client string, spec rt.PlanSpec) (string, error) {
 			s.journalErrs.Add(1)
 		}
 		if err == rt.ErrQueueFull {
-			s.count(keyRejectedQueue, &s.rejectedQueue)
+			s.reject(&s.rejectedQueue)
 		}
 		return "", err
 	}
 	s.mu.Unlock()
-	s.count(keySubmitted, &s.submitted)
+	s.submitted.Add(1)
 	return id, nil
 }
 
@@ -448,7 +440,7 @@ func (s *Server) runJob(j *jobState) {
 	j.status = StatusDone
 	j.signal()
 	j.mu.Unlock()
-	s.count(keyCompleted, &s.completed)
+	s.completed.Add(1)
 }
 
 // finishFailed journals and applies a job's terminal failure.
@@ -465,7 +457,7 @@ func (s *Server) finishFailed(j *jobState, err error) {
 	j.status = StatusFailed
 	j.signal()
 	j.mu.Unlock()
-	s.count(keyFailed, &s.failed)
+	s.failed.Add(1)
 }
 
 // jobEvents renders one plan-job completion: its buffered metrics records
